@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import (InvalidSequenceError, PreconditionError,
                      UntrustedEvaluationError)
-from .seqcore import WeightSequence
+from .seqcore import ClosedForm, WeightSequence
 from .weights import GrowthGauge, omega, omega_mp, valid_to
 
 MP_DPS = 50
@@ -248,9 +248,10 @@ def weighted_class_sum(model: DiagonalOperatorModel, f: SpectralVector,
                        M: WeightSequence, t: float) -> SpectralSumReport:
     """sum_n |c_n|^2 e^(2 omega_M(t lambda_n)) with per-term certificates.
 
-    The weight is evaluated through the generator-backed step search, which
-    stays trusted at arbitrarily large arguments; window-only sequences are
-    accepted only while t*lambda_n stays inside their trusted range.
+    The weight of a closed-form sequence is evaluated through the step
+    search of omega_mp, which stays trusted at arbitrarily large arguments;
+    other sequences are accepted only while t*lambda_n stays inside their
+    trusted range.
     """
     if t <= 0:
         raise InvalidSequenceError("t must be > 0")
@@ -262,14 +263,14 @@ def weighted_class_sum(model: DiagonalOperatorModel, f: SpectralVector,
         terms = []
         for i in range(model.n_terms):
             log_arg = log_t + float(model.loglam[i])
-            if M.generator_mp is not None:
+            if isinstance(M.generator, ClosedForm):
                 w = omega_mp(M, log_arg)
             elif log_arg <= math.log(trust):
                 w = mp.mpf(omega(M, math.exp(log_arg)).value)
             else:
                 raise UntrustedEvaluationError(
                     f"omega of {M.name} untrusted at ln(t*lambda)={log_arg:.3g}; "
-                    f"enlarge P beyond {M.P} or provide a generator",
+                    f"enlarge P beyond {M.P} or provide a closed form",
                     required_P=4 * M.P)
             terms.append(2 * f.logc[i] + 2 * w)
         return _certify(terms, t)

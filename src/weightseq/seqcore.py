@@ -40,22 +40,69 @@ def log_factorial(p):
 
 
 @dataclass(frozen=True)
+class ClosedForm:
+    """ln M_p = a ln Gamma(p+1) + b p^2, evaluable at any real p >= 0.
+
+    Both builtin families are of this form (gevrey: (alpha, 0), qgevrey:
+    (0, ln q)), and so is every image under conjugation (1-a, -b), little m
+    (a-1, b) and the factorial shift by s (a+s, b).  The quotients
+    ln mu_p = a ln p + b (2p-1) are evaluated directly: a log-gamma
+    difference at p ~ 1e12 or beyond would cancel.  Zero coefficients are
+    skipped, so a builtin member evaluates exactly like its one-term formula.
+    """
+
+    a: float = 0.0
+    b: float = 0.0
+
+    def __call__(self, p):
+        """ln M_p in float for a scalar or an array of indices."""
+        p = np.asarray(p, dtype=float)
+        out = self.a * gammaln(p + 1.0) if self.a else np.zeros_like(p)
+        return out + self.b * (p * p) if self.b else out
+
+    def log_M_mp(self, p):
+        """ln M_p in mpmath, for indices far beyond float resolution."""
+        import mpmath as mp
+        out = mp.mpf(self.a) * mp.loggamma(p + 1) if self.a else mp.mpf(0)
+        return out + mp.mpf(self.b) * p * p if self.b else out
+
+    def log_mu(self, p):
+        """ln mu_p in float (p >= 1)."""
+        p = np.asarray(p, dtype=float)
+        out = self.a * np.log(p) if self.a else np.zeros_like(p)
+        return out + self.b * (2.0 * p - 1.0) if self.b else out
+
+    def log_mu_mp(self, p):
+        """ln mu_p in mpmath (p >= 1)."""
+        import mpmath as mp
+        out = mp.mpf(self.a) * mp.log(p) if self.a else mp.mpf(0)
+        return out + mp.mpf(self.b) * (2 * p - 1) if self.b else out
+
+    def conjugate(self) -> "ClosedForm":
+        return ClosedForm(1.0 - self.a, -self.b)
+
+    def little_m(self) -> "ClosedForm":
+        return ClosedForm(self.a - 1.0, self.b)
+
+    def shift(self, s: float) -> "ClosedForm":
+        return ClosedForm(self.a + s, self.b)
+
+
+@dataclass(frozen=True)
 class WeightSequence:
     """Finite truncation of a positive sequence, stored in log domain.
 
     logM[p] = ln M_p for p = 0..P.  When ``generator`` is present it
     evaluates ln M_p for arbitrary p (beyond the window) and must agree
-    with the stored values on 0..P.  ``generator_mp`` is an optional
-    mpmath-compatible twin used by callers that need evaluation at
-    astronomically large indices.
+    with the stored values on 0..P.  A ``ClosedForm`` generator also
+    evaluates in mpmath and gives the quotients directly, which is what
+    evaluation at astronomically large indices needs; any other callable
+    is a float-only generator.
     """
 
     name: str
     logM: np.ndarray
     generator: Optional[Callable] = None
-    generator_mp: Optional[Callable] = None
-    # ln mu_p directly (no cancellation), for step searches at huge p
-    generator_quot_mp: Optional[Callable] = None
     provenance: str = "custom"
 
     def __post_init__(self):
@@ -70,10 +117,17 @@ class WeightSequence:
         arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "logM", arr)
-        if self.generator is not None:
+        g = self.generator
+        if g is not None:
             p = np.arange(self.P + 1)
-            gen = np.asarray(self.generator(p), dtype=float)
-            tol = GENERATOR_MATCH_RTOL * (1.0 + np.abs(arr))
+            gen = np.asarray(g(p), dtype=float)
+            scale = np.abs(arr)
+            if isinstance(g, ClosedForm):
+                # the transforms add and subtract whole ln p! terms, so a
+                # closed-form window carries their rounding even where the
+                # net coefficient is small: ln p! - (1 - 1e-6) ln p!
+                scale = ClosedForm(max(abs(g.a), 1.0), abs(g.b))(p)
+            tol = GENERATOR_MATCH_RTOL * (1.0 + scale)
             if np.any(np.abs(gen - arr) > tol):
                 bad = int(np.flatnonzero(np.abs(gen - arr) > tol)[0])
                 raise InvalidSequenceError(
@@ -95,9 +149,7 @@ class WeightSequence:
         logM = np.asarray(self.generator(np.arange(P_new + 1)), dtype=float)
         # keep the stored head bit-exact
         logM[: self.P + 1] = self.logM
-        return WeightSequence(self.name, logM, self.generator,
-                              self.generator_mp, self.generator_quot_mp,
-                              self.provenance)
+        return WeightSequence(self.name, logM, self.generator, self.provenance)
 
     def __repr__(self):
         return f"WeightSequence({self.name!r}, P={self.P})"
@@ -141,20 +193,8 @@ def gevrey(alpha: float, P: int = DEFAULT_P) -> WeightSequence:
     """Gevrey sequence of order alpha: M_p = (p!)^alpha, alpha >= 0."""
     if not (alpha >= 0) or not math.isfinite(alpha):
         raise InvalidSequenceError(f"gevrey order must be >= 0, got {alpha}")
-
-    def gen(p, _a=float(alpha)):
-        return _a * log_factorial(p)
-
-    def gen_mp(p, _a=float(alpha)):
-        import mpmath as mp
-        return mp.mpf(_a) * mp.loggamma(p + 1)
-
-    def quot_mp(p, _a=float(alpha)):
-        import mpmath as mp
-        return mp.mpf(_a) * mp.log(p)   # mu_p = p^alpha exactly
-
-    logM = gen(np.arange(P + 1))
-    return WeightSequence(f"gevrey({alpha:g})", logM, gen, gen_mp, quot_mp,
+    form = ClosedForm(float(alpha))  # mu_p = p^alpha
+    return WeightSequence(f"gevrey({alpha:g})", form(np.arange(P + 1)), form,
                           provenance=f"builtin:gevrey({alpha:g})")
 
 
@@ -162,21 +202,8 @@ def qgevrey(q: float, P: int = DEFAULT_P) -> WeightSequence:
     """q-Gevrey sequence M_p = q^(p^2), q > 1."""
     if not (q > 1) or not math.isfinite(q):
         raise InvalidSequenceError(f"q-gevrey base must be > 1, got {q}")
-
-    def gen(p, _lq=math.log(q)):
-        p = np.asarray(p, dtype=float)
-        return p * p * _lq
-
-    def gen_mp(p, _lq=math.log(q)):
-        import mpmath as mp
-        return mp.mpf(_lq) * p * p
-
-    def quot_mp(p, _lq=math.log(q)):
-        import mpmath as mp
-        return mp.mpf(_lq) * (2 * p - 1)  # mu_p = q^(2p-1)
-
-    logM = gen(np.arange(P + 1))
-    return WeightSequence(f"qgevrey({q:g})", logM, gen, gen_mp, quot_mp,
+    form = ClosedForm(0.0, math.log(q))  # mu_p = q^(2p-1)
+    return WeightSequence(f"qgevrey({q:g})", form(np.arange(P + 1)), form,
                           provenance=f"builtin:qgevrey({q:g})")
 
 
@@ -211,8 +238,8 @@ def small_gevrey_family(alpha_of_beta: Callable[[float], float] = None,
 def make_family(spec, P: Optional[int] = None) -> WeightSequence:
     """Build a sequence from an inline descriptor.
 
-    Accepts "gevrey:0.5", "qgevrey:2", "file:path.json", or a dict of the
-    JSON family block ({"type": ..., "params": {...}}).
+    Accepts "gevrey:0.5", "qgevrey:2", "file:path.json", or a gevrey or
+    qgevrey JSON family block ({"type": ..., "params": {...}}).
     """
     PP = DEFAULT_P if P is None else int(P)
     if isinstance(spec, dict):
@@ -263,20 +290,8 @@ def from_quotients(logmu, name: str = "from-quotients",
 def little_m(M: WeightSequence) -> WeightSequence:
     """Divide out the factorial: logm[p] = logM[p] - ln p!."""
     logm = M.logM - log_factorial(np.arange(M.P + 1))
-    gen = None
-    gen_mp = None
-    quot_mp = None
-    if M.generator is not None:
-        gen = lambda p, _g=M.generator: _g(p) - log_factorial(p)
-    if M.generator_mp is not None:
-        def gen_mp(p, _g=M.generator_mp):
-            import mpmath as mp
-            return _g(p) - mp.loggamma(p + 1)
-    if M.generator_quot_mp is not None:
-        def quot_mp(p, _q=M.generator_quot_mp):
-            import mpmath as mp
-            return _q(p) - mp.log(p)
-    return WeightSequence(f"m[{M.name}]", logm, gen, gen_mp, quot_mp,
+    form = M.generator.little_m() if isinstance(M.generator, ClosedForm) else None
+    return WeightSequence(f"m[{M.name}]", logm, form,
                           provenance=f"transform:little_m({M.provenance})")
 
 
@@ -284,20 +299,8 @@ def factorial_shift(M: WeightSequence, s: float) -> WeightSequence:
     """Multiply by (p!)^s in log domain."""
     s = float(s)
     logM = M.logM + s * log_factorial(np.arange(M.P + 1))
-    gen = None
-    gen_mp = None
-    quot_mp = None
-    if M.generator is not None:
-        gen = lambda p, _g=M.generator, _s=s: _g(p) + _s * log_factorial(p)
-    if M.generator_mp is not None:
-        def gen_mp(p, _g=M.generator_mp, _s=s):
-            import mpmath as mp
-            return _g(p) + mp.mpf(_s) * mp.loggamma(p + 1)
-    if M.generator_quot_mp is not None:
-        def quot_mp(p, _q=M.generator_quot_mp, _s=s):
-            import mpmath as mp
-            return _q(p) + mp.mpf(_s) * mp.log(p)
-    return WeightSequence(f"shift[{M.name},{s:g}]", logM, gen, gen_mp, quot_mp,
+    form = M.generator.shift(s) if isinstance(M.generator, ClosedForm) else None
+    return WeightSequence(f"shift[{M.name},{s:g}]", logM, form,
                           provenance=f"transform:factorial_shift({M.provenance},{s:g})")
 
 
@@ -343,14 +346,14 @@ def in_lc_window(M: WeightSequence, tol: float = 1e-12) -> bool:
 # ---------------------------------------------------------------------------
 
 def _family_block(M: WeightSequence):
-    prov = M.provenance
-    if prov.startswith("builtin:gevrey"):
-        alpha = float(prov[prov.index("(") + 1 : prov.index(")")])
-        return {"type": "gevrey", "params": {"alpha": alpha}}
-    if prov.startswith("builtin:qgevrey"):
-        q = float(prov[prov.index("(") + 1 : prov.index(")")])
-        return {"type": "qgevrey", "params": {"q": q}}
-    return {"type": "custom", "params": {}}
+    """The generator as stored: a Gevrey order, the closed-form coefficients
+    at full float precision, or custom (window data only)."""
+    form = M.generator
+    if not isinstance(form, ClosedForm):
+        return {"type": "custom", "params": {}}
+    if form.b == 0 and form.a >= 0:
+        return {"type": "gevrey", "params": {"alpha": form.a}}
+    return {"type": "closed-form", "params": {"a": form.a, "b": form.b}}
 
 
 def save_sequence(M: WeightSequence, path) -> None:
@@ -374,23 +377,15 @@ def load_sequence(path) -> WeightSequence:
     if not isinstance(doc, dict) or "name" not in doc:
         raise InvalidSequenceError(f"malformed sequence file {path}")
     fam = doc.get("family") or {"type": "custom"}
-    kind = fam.get("type")
-    P = int(doc.get("P", DEFAULT_P))
-    prov = doc.get("provenance", "file")
-    if "logM" in doc and doc["logM"] is not None:
-        arr = np.asarray(doc["logM"], dtype=float)
-        if kind in ("gevrey", "qgevrey"):
-            fresh = make_family(fam, P=arr.size - 1)
-            if not np.allclose(fresh.logM, arr, atol=1e-9):
-                raise InvalidSequenceError(
-                    f"{path}: stored logM disagrees with declared family")
-            return WeightSequence(doc["name"], arr, fresh.generator,
-                                  fresh.generator_mp, fresh.generator_quot_mp,
-                                  fresh.provenance)
-        return WeightSequence(doc["name"], arr, provenance=prov)
+    kind, params = fam.get("type"), fam.get("params", {})
+    form = None
     if kind in ("gevrey", "qgevrey"):
-        seq = make_family(fam, P=P)
-        return WeightSequence(doc["name"], seq.logM, seq.generator,
-                              seq.generator_mp, seq.generator_quot_mp,
-                              seq.provenance)
-    raise InvalidSequenceError(f"{path}: custom family requires logM data")
+        form = make_family(fam, P=8).generator  # checks the parameter
+    elif kind == "closed-form":
+        form = ClosedForm(float(params["a"]), float(params["b"]))
+    logM = doc.get("logM")
+    if logM is None:
+        if form is None:
+            raise InvalidSequenceError(f"{path}: custom family requires logM data")
+        logM = form(np.arange(int(doc.get("P", DEFAULT_P)) + 1))
+    return WeightSequence(doc["name"], logM, form, doc.get("provenance", "file"))

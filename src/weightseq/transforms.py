@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import (CensoredWindowError, InconclusiveTailError,
                      PreconditionError)
-from .seqcore import (WeightSequence, from_quotients, in_lc_window,
+from .seqcore import (ClosedForm, WeightSequence, from_quotients, in_lc_window,
                       is_log_convex, log_factorial, quotients)
 
 # default ceiling for materialised dual windows (entries, not values)
@@ -33,20 +33,8 @@ DUAL_WINDOW_CAP = 200_000
 def conjugate(M: WeightSequence) -> WeightSequence:
     """Conjugate sequence M*_p = p!/M_p (log domain: ln p! - logM[p])."""
     logMstar = log_factorial(np.arange(M.P + 1)) - M.logM
-    gen = None
-    gen_mp = None
-    quot_mp = None
-    if M.generator is not None:
-        gen = lambda p, _g=M.generator: log_factorial(p) - _g(p)
-    if M.generator_mp is not None:
-        def gen_mp(p, _g=M.generator_mp):
-            import mpmath as mp
-            return mp.loggamma(p + 1) - _g(p)
-    if M.generator_quot_mp is not None:
-        def quot_mp(p, _q=M.generator_quot_mp):
-            import mpmath as mp
-            return mp.log(p) - _q(p)   # mu*_p = p / mu_p
-    return WeightSequence(f"conj[{M.name}]", logMstar, gen, gen_mp, quot_mp,
+    form = M.generator.conjugate() if isinstance(M.generator, ClosedForm) else None
+    return WeightSequence(f"conj[{M.name}]", logMstar, form,
                           provenance=f"transform:conjugate({M.provenance})")
 
 
@@ -235,8 +223,7 @@ def normalize_head(L: WeightSequence) -> HeadNormalization:
     loglam = quotients(L).logmu
     if loglam[1] >= 0.0:
         # already normalized: no modification required
-        out = WeightSequence(L.name, L.logM, L.generator, L.generator_mp,
-                             L.generator_quot_mp,
+        out = WeightSequence(L.name, L.logM, L.generator,
                              provenance=f"transform:normalize_head({L.provenance})")
         return HeadNormalization(L=out, p0=0, log_c=0.0)
     below = np.flatnonzero(loglam < 0.0)

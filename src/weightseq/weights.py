@@ -25,8 +25,8 @@ from scipy.special import gammaln
 
 from .errors import (CensoredWindowError, InvalidSequenceError,
                      PreconditionError, UntrustedEvaluationError)
-from .seqcore import (WeightSequence, SequenceFamily, is_log_convex,
-                      little_m, quotients)
+from .seqcore import (ClosedForm, WeightSequence, SequenceFamily,
+                      is_log_convex, little_m, quotients)
 
 LN2 = math.log(2.0)
 
@@ -36,12 +36,18 @@ DIRECT_KMAX = 2_000_000
 SERIES_RELATIVE_CUTOFF = 1e-16
 
 
+def _require_finite(fn: str, t: float) -> None:
+    if not math.isfinite(t):
+        raise InvalidSequenceError(f"{fn}: t must be finite, got {t}")
+
+
 # ---------------------------------------------------------------------------
 # counting function
 # ---------------------------------------------------------------------------
 
 def counting(M: WeightSequence, t: float) -> int:
     """Sigma_M(t) = #{p >= 1 : mu_p <= t}; exact, censorship-checked."""
+    _require_finite("counting", t)
     if t < 0:
         raise InvalidSequenceError("counting: t must be >= 0")
     logmu = quotients(M).logmu[1:]
@@ -75,6 +81,7 @@ def omega(M: WeightSequence, t: float) -> OmegaValue:
     trusted is False when the supremum is attained at the truncation
     boundary, i.e. the window may be censoring the true value.
     """
+    _require_finite("omega", t)
     if t < 0:
         raise InvalidSequenceError("omega: t must be >= 0")
     if t == 0.0:
@@ -90,11 +97,14 @@ def omega(M: WeightSequence, t: float) -> OmegaValue:
 
 
 def omega_extended(M: WeightSequence, t: float) -> OmegaValue:
-    """Generator-backed omega for log-convex M, valid far beyond the window.
+    """Closed-form-backed omega for log-convex M, valid far beyond the window.
 
     Uses the step structure: the supremum is attained at the largest p with
-    mu_p <= t.  Requires a generator and non-decreasing quotients.
+    mu_p <= t.  Requires a ClosedForm generator (its quotients are exact
+    where a difference of log-factorials would cancel) and non-decreasing
+    quotients.
     """
+    _require_finite("omega_extended", t)
     if t <= 0:
         return OmegaValue(0.0, 0, True)
     valid = valid_to(M)
@@ -102,17 +112,17 @@ def omega_extended(M: WeightSequence, t: float) -> OmegaValue:
         res = omega(M, t)
         if res.trusted:
             return res
-    if M.generator is None:
+    form = M.generator
+    if not isinstance(form, ClosedForm):
         raise UntrustedEvaluationError(
-            f"omega: t={t:g} beyond trusted range of {M.name} and no generator")
+            f"omega: t={t:g} beyond trusted range of {M.name} and no closed form")
     if not is_log_convex(M):
         raise PreconditionError(
             f"omega_extended: {M.name} is not log-convex; cannot use step search")
-    gen = M.generator
     logt = math.log(t)
 
     def logquot(p):
-        return float(gen(p) - gen(p - 1))
+        return float(form.log_mu(p))
 
     if logquot(1) > logt:
         return OmegaValue(0.0, 0, True)
@@ -129,27 +139,29 @@ def omega_extended(M: WeightSequence, t: float) -> OmegaValue:
             lo = mid
         else:
             hi = mid
-    value = lo * logt - float(gen(lo))
+    value = lo * logt - float(form(lo))
     return OmegaValue(max(value, 0.0), lo, True)
 
 
 def omega_mp(M: WeightSequence, log_t, u_hint: float = 8.0):
-    """(log-domain argument) omega for log-convex generator sequences, mpmath result.
+    """(log-domain argument) omega for log-convex closed-form sequences, mpmath result.
 
     Accepts ln t as a float (possibly ~1e10) and returns omega_M(t) as an
     mpf, found via the largest p with mu_p <= t located by bisection on
-    ln p.  The quotient generator is used directly: a loggamma difference at
-    p ~ exp(1000) would cancel catastrophically at any workable precision.
+    ln p.  The closed-form quotients are used directly: a loggamma
+    difference at p ~ exp(1000) would cancel catastrophically at any
+    workable precision.
     """
     import mpmath as mp
 
-    if M.generator_mp is None or M.generator_quot_mp is None:
+    form = M.generator
+    if not isinstance(form, ClosedForm):
         raise UntrustedEvaluationError(
-            f"omega_mp: {M.name} lacks extended-precision generators")
+            f"omega_mp: {M.name} has no closed-form generator")
     if not is_log_convex(M):
         raise PreconditionError(f"omega_mp: {M.name} is not log-convex")
-    gen = M.generator_mp
-    quot = M.generator_quot_mp
+    gen = form.log_M_mp
+    quot = form.log_mu_mp
     logt = mp.mpf(log_t)
 
     if quot(1) > logt:
@@ -232,6 +244,7 @@ def integral_representation_residual(M: WeightSequence, t: float) -> float:
     integration of the counting function); requires log-convex M and an
     uncensored argument.
     """
+    _require_finite("integral_representation_residual", t)
     if not is_log_convex(M):
         raise PreconditionError("integral representation needs log-convex M")
     res = omega(M, t)
@@ -308,16 +321,8 @@ def markin_bound(P: int = 512) -> WeightSequence:
         p = np.asarray(p, dtype=float)
         return np.where(p >= 2, -p * np.log(np.log(np.maximum(p, 2.0))), 0.0)
 
-    def gen_mp(p):
-        import mpmath as mp
-        if p < 2:
-            return mp.mpf(0)
-        return -p * mp.log(mp.log(p))
-
-    loga = gen(np.arange(P + 1))
-    seq = WeightSequence("markin-bound", loga, gen, gen_mp,
-                         provenance="builtin:markin-bound")
-    return seq
+    return WeightSequence("markin-bound", gen(np.arange(P + 1)), gen,
+                          provenance="builtin:markin-bound")
 
 
 def _markin_rate(u: float) -> float:

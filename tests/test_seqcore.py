@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import gammaln
 
 from weightseq import seqcore as sc
+from weightseq import transforms as tr
 from weightseq.errors import InvalidSequenceError
 
 finite_logs = st.lists(
@@ -58,6 +60,58 @@ def test_generator_consistency_enforced():
     bad[5] += 1e-6
     with pytest.raises(InvalidSequenceError):
         sc.WeightSequence("broken", bad, G.generator)
+
+
+def test_closed_form_builtins_evaluate_their_formula():
+    p = np.arange(0, 3000, dtype=float)
+    for a in (0.0, 0.3, 1.734512, 2.0):
+        G = sc.gevrey(a, P=64)
+        assert G.generator == sc.ClosedForm(a, 0.0)
+        assert np.array_equal(G.generator(p), a * gammaln(p + 1.0))
+    for q in (1.2345678, 2.0):
+        Q = sc.qgevrey(q, P=64)
+        assert Q.generator == sc.ClosedForm(0.0, math.log(q))
+        assert np.array_equal(Q.generator(p), p * p * math.log(q))
+
+
+def test_closed_form_images_under_transforms():
+    f = sc.qgevrey(2).generator.shift(0.5)  # mixed form a = 0.5, b = ln 2
+    assert f == sc.ClosedForm(0.5, math.log(2.0))
+    assert tr.conjugate(sc.factorial_shift(sc.qgevrey(2), 0.5)).generator == f.conjugate()
+    assert f.conjugate() == sc.ClosedForm(0.5, -math.log(2.0))
+    assert f.little_m() == sc.ClosedForm(-0.5, math.log(2.0))
+    assert sc.little_m(sc.gevrey(0.5)).generator == sc.ClosedForm(-0.5, 0.0)
+    # window-only sequences and plain generators do not carry a form over
+    assert sc.little_m(sc.custom(np.zeros(12))).generator is None
+
+
+def test_closed_form_quotients_and_mp():
+    import mpmath as mp
+    f = sc.ClosedForm(0.7, 0.01)
+    p = np.arange(1.0, 200.0)
+    assert np.allclose(f.log_mu(p), f(p) - f(p - 1.0), rtol=1e-12, atol=1e-12)
+    with mp.workdps(30):
+        for k in (1, 17, 199):
+            assert float(f.log_M_mp(k)) == pytest.approx(float(f(k)), rel=1e-14)
+            assert float(f.log_mu_mp(k)) == pytest.approx(float(f.log_mu(k)), rel=1e-14)
+        # at p = 1e40 a loggamma difference needs 80 digits for what the
+        # direct quotient gives at 30
+        big = mp.mpf(10) ** 40
+        direct = f.log_mu_mp(big)
+    with mp.workdps(80):
+        diff = f.log_M_mp(big) - f.log_M_mp(big - 1)
+        assert abs(direct - diff) <= mp.mpf("1e-28") * abs(diff)
+
+
+def test_generator_tolerance_covers_cancelling_transforms():
+    # ln p! - (1 - 1e-6) ln p! rounds on the scale of ln p!, not of the
+    # result; the form (1e-6, 0) must still validate against that window
+    C = tr.conjugate(sc.gevrey(1 - 1e-6, P=10**5))
+    assert C.generator.a == pytest.approx(1e-6, rel=1e-9)
+    bad = C.logM.copy()
+    bad[5] += 1e-6
+    with pytest.raises(InvalidSequenceError):
+        sc.WeightSequence("broken", bad, C.generator)
 
 
 @given(finite_logs)
@@ -142,6 +196,46 @@ def test_json_roundtrip(tmp_path):
     path.write_text("{not json")
     with pytest.raises(InvalidSequenceError):
         sc.load_sequence(path)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: sc.gevrey(1.734512, P=2048),
+    lambda: sc.qgevrey(1.2345678),
+    lambda: tr.conjugate(sc.gevrey(0.3)),
+    lambda: tr.conjugate(sc.qgevrey(2)),
+    lambda: sc.little_m(sc.gevrey(0.5)),
+    lambda: sc.little_m(sc.qgevrey(2)),
+    lambda: sc.factorial_shift(sc.gevrey(0.5), 0.75),
+    lambda: sc.factorial_shift(sc.qgevrey(1.5), -0.25),
+], ids=["gevrey7", "qgevrey8", "conj", "conj-q", "m", "m-q", "shift", "shift-q"])
+def test_json_roundtrip_keeps_closed_form(tmp_path, build):
+    M = build()
+    path = tmp_path / "seq.json"
+    sc.save_sequence(M, path)
+    back = sc.load_sequence(path)
+    assert back.generator == M.generator
+    assert np.array_equal(back.logM, M.logM)
+    assert back.provenance == M.provenance
+    again = tmp_path / "again.json"
+    sc.save_sequence(back, again)
+    assert again.read_text() == path.read_text()
+
+
+def test_json_reads_older_family_blocks(tmp_path):
+    path = tmp_path / "seq.json"
+    Q = sc.qgevrey(2.0, P=32)
+    path.write_text(json.dumps({
+        "name": "q", "P": 32, "family": {"type": "qgevrey", "params": {"q": 2.0}},
+        "logM": [float(x) for x in Q.logM]}))
+    assert sc.load_sequence(path).generator == Q.generator
+    path.write_text(json.dumps({
+        "name": "g", "P": 40, "family": {"type": "gevrey", "params": {"alpha": 1.5}}}))
+    back = sc.load_sequence(path)
+    assert back.P == 40 and np.array_equal(back.logM, sc.gevrey(1.5, P=40).logM)
+    path.write_text(json.dumps({
+        "name": "c", "P": 10, "family": {"type": "custom", "params": {}},
+        "logM": list(range(11)), "provenance": "custom"}))
+    assert sc.load_sequence(path).generator is None
 
 
 def test_json_family_mismatch_rejected(tmp_path):

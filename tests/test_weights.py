@@ -6,8 +6,8 @@ import pytest
 from weightseq import seqcore as sc
 from weightseq import transforms as tr
 from weightseq import weights as wt
-from weightseq.errors import (CensoredWindowError, PreconditionError,
-                              UntrustedEvaluationError)
+from weightseq.errors import (CensoredWindowError, InvalidSequenceError,
+                              PreconditionError, UntrustedEvaluationError)
 
 
 # ---------------------------------------------------------------------------
@@ -112,6 +112,37 @@ def test_omega_mp_agrees_with_extended():
         assert abs(float(b) - a.value) <= 1e-6 * max(1.0, a.value)
     with pytest.raises(UntrustedEvaluationError):
         wt.omega_mp(sc.gevrey(0), 1.0)
+
+
+def test_omega_extended_far_past_window_matches_omega_mp():
+    # step indices ~1.7e12 (+5) and ~3.8e16 (+8): a log-factorial
+    # difference there loses the quotient, the closed form does not
+    import mpmath as mp
+    M = sc.gevrey(0.3, P=10**5)
+    log_vt = math.log(wt.valid_to(M))
+    for span in (5.0, 8.0):
+        r = wt.omega_extended(M, math.exp(log_vt + span))
+        with mp.workdps(50):
+            ref = float(wt.omega_mp(M, log_vt + span))
+        assert r.trusted and abs(r.value - ref) <= 1e-12 * ref
+
+
+def test_omega_extended_needs_closed_form():
+    G = sc.gevrey(0.5)
+    plain = sc.WeightSequence("plain", G.logM, lambda p: 0.5 * sc.log_factorial(p))
+    assert wt.omega_extended(plain, 10.0).trusted  # inside the window
+    with pytest.raises(UntrustedEvaluationError):
+        wt.omega_extended(plain, 97.3)
+    with pytest.raises(UntrustedEvaluationError):
+        wt.omega_mp(plain, math.log(97.3))
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("fn", [wt.omega, wt.counting, wt.omega_extended,
+                                wt.integral_representation_residual])
+def test_non_finite_arguments_rejected(fn, t):
+    with pytest.raises(InvalidSequenceError):
+        fn(sc.gevrey(2), t)
 
 
 # ---------------------------------------------------------------------------
