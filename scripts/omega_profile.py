@@ -10,7 +10,6 @@ Usage:
 """
 
 import argparse
-import csv
 import pathlib
 import sys
 
@@ -35,13 +34,8 @@ def main(argv=None):
         aw = AssociatedWeight.of(M)
         grid = default_t_grid(M, t_min=1.0)
         grid = grid[grid < valid_to(M) * 0.9]
-        rows = aw.table(grid)
         path = outdir / (spec.replace(":", "_") + ".csv")
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(("t", "omega", "argmax", "trusted"))
-            for r in rows:
-                w.writerow((f"{r[0]:.17g}", f"{r[1]:.17g}", r[2], r[3]))
+        rows = aw.write_csv(path, grid)
         vals = np.array([r[1] for r in rows])
         ts = np.array([r[0] for r in rows])
         mask = vals > 1e-9

@@ -75,17 +75,6 @@ def _nondecreasing(x: np.ndarray, tol: float = 1e-12) -> bool:
     return bool(np.all(np.diff(x) >= -tol))
 
 
-def _stable_sup(x: np.ndarray) -> Optional[float]:
-    """Window sup with a stability certificate: the maximum must be attained
-    in the first three quarters (so enlarging the window did not move it)."""
-    m = float(x.max())
-    if int(np.argmax(x)) <= 3 * len(x) // 4:
-        return m
-    if _nonincreasing(_tail(x)):
-        return m
-    return None
-
-
 def _block_minima_nondecreasing(x: np.ndarray, n_blocks: int = 6,
                                 tol: float = 1e-9) -> bool:
     """Envelope trend for noisy statistics (integer-valued quotients carry

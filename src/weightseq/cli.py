@@ -10,7 +10,6 @@ and seed produce byte-identical output.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import sys
 
@@ -107,7 +106,7 @@ def _apply_transform(M, name):
     if name == "root":
         return seqcore.root_sequence(M)
     if name.startswith("shift:"):
-        return seqcore.factorial_shift(M, float(name.split(":", 1)[1]))
+        return seqcore.factorial_shift(M, name.split(":", 1)[1])
     raise InvalidSequenceError(
         f"unknown transform {name!r}; known: {', '.join(_TRANSFORMS)}, shift:s")
 
@@ -127,13 +126,8 @@ def _cmd_omega(args) -> int:
     aw = weights.AssociatedWeight.of(M)
     hi = args.t_max if args.t_max else aw.valid_to * 0.95
     grid = np.geomspace(max(args.t_min, 1e-6), hi, args.points)
-    rows = aw.table(grid)
     out = args.out or "omega.csv"
-    with open(out, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(("t", "omega", "argmax", "trusted"))
-        for r in rows:
-            w.writerow((f"{r[0]:.17g}", f"{r[1]:.17g}", r[2], r[3]))
+    rows = aw.write_csv(out, grid)
     sys.stdout.write(f"wrote {out} ({len(rows)} rows, valid_to={aw.valid_to:.6g})\n")
     return EXIT_OK
 

@@ -76,11 +76,6 @@ class CoefficientFunction:
             return NEG_INF
         return m + math.log(float(np.sum(np.exp(terms - m))))
 
-    def radial_majorant_peak(self, t: float) -> int:
-        k = np.arange(self.K + 1, dtype=float)
-        terms = self.logc + k * (math.log(t) if t > 0 else NEG_INF)
-        return int(np.argmax(terms))
-
     def derivative_log_abs(self, n: int, x: float) -> float:
         """ln |F^(n)(x)| exactly from the coefficients.
 

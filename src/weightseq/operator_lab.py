@@ -27,10 +27,12 @@ import numpy as np
 from .errors import (InvalidSequenceError, PreconditionError,
                      UntrustedEvaluationError)
 from .seqcore import ClosedForm, WeightSequence
-from .weights import GrowthGauge, omega, omega_mp, valid_to
+from .weights import GrowthGauge, _bracket_bisect, omega, omega_mp, valid_to
 
 MP_DPS = 50
 INTEGER_EXACT_LIMIT = 2.0**53
+# the threshold search for ln k(n) gives up past this
+COUNTEREXAMPLE_SEARCH_CAP = 1e16
 
 
 @dataclass(frozen=True)
@@ -112,8 +114,7 @@ def from_floats(lambdas, coeff_logs) -> tuple:
 
 def build_counterexample(gauge: GrowthGauge, n_terms: int = 120,
                          log_g_floor: float = 0.0,
-                         log_g_slope: float = 0.0,
-                         search_cap: float = 1e16) -> tuple:
+                         log_g_slope: float = 0.0) -> tuple:
     """Ring eigenvalues and coefficient vector from an unbounded gauge.
 
     k(n) is the threshold where the gauge reaches max(n, exp(floor+slope*n));
@@ -138,20 +139,13 @@ def build_counterexample(gauge: GrowthGauge, n_terms: int = 120,
         lo = max(prev + 1e-9, math.log(n), 1.0)
         # ln g ~ sqrt(ln k)/2 asymptotically, so ln k ~ 4 exp(2 ln g)
         hi = max(lo + 4.0, 8.0, 5.0 * math.exp(2.0 * target))
-        while gauge.log_g(hi) < target:
-            lo = hi
-            hi *= 2.0
-            if hi > search_cap:
-                raise PreconditionError(
-                    f"gauge never reaches ln g = {target:.3g} within the search "
-                    f"horizon (needed for n = {n})")
-        for _ in range(64):
-            mid = 0.5 * (lo + hi)
-            if gauge.log_g(mid) >= target:
-                hi = mid
-            else:
-                lo = mid
-        lk = hi
+        bracket = _bracket_bisect(lambda u: gauge.log_g(u) < target, lo, hi,
+                                  COUNTEREXAMPLE_SEARCH_CAP, 64)
+        if bracket is None:
+            raise PreconditionError(
+                f"gauge never reaches ln g = {target:.3g} within the search "
+                f"horizon (needed for n = {n})")
+        lk = bracket[1]
         if lk < math.log(INTEGER_EXACT_LIMIT):
             k_int = max(int(math.ceil(math.exp(lk) - 1e-9)), n)
             if i and logk[i - 1] < math.log(INTEGER_EXACT_LIMIT):

@@ -235,6 +235,21 @@ def small_gevrey_family(alpha_of_beta: Callable[[float], float] = None,
     return SequenceFamily(name, maker, P)
 
 
+def _number(value, what: str) -> float:
+    """float(value), or InvalidSequenceError naming the malformed input."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise InvalidSequenceError(f"{what} must be a number, got {value!r}") from None
+
+
+def _family_param(fam: dict, key: str) -> float:
+    """A numeric parameter of a JSON family block; a missing one reads as None."""
+    params = fam.get("params")
+    return _number(params.get(key) if isinstance(params, dict) else None,
+                   f"parameter {key!r} of family block {fam!r}")
+
+
 def make_family(spec, P: Optional[int] = None) -> WeightSequence:
     """Build a sequence from an inline descriptor.
 
@@ -244,11 +259,10 @@ def make_family(spec, P: Optional[int] = None) -> WeightSequence:
     PP = DEFAULT_P if P is None else int(P)
     if isinstance(spec, dict):
         kind = spec.get("type")
-        params = spec.get("params", {})
         if kind == "gevrey":
-            return gevrey(float(params["alpha"]), PP)
+            return gevrey(_family_param(spec, "alpha"), PP)
         if kind == "qgevrey":
-            return qgevrey(float(params["q"]), PP)
+            return qgevrey(_family_param(spec, "q"), PP)
         if kind == "custom":
             raise InvalidSequenceError("custom family block needs explicit logM data")
         raise InvalidSequenceError(f"unknown family type {kind!r}")
@@ -258,9 +272,9 @@ def make_family(spec, P: Optional[int] = None) -> WeightSequence:
     kind, _, arg = text.partition(":")
     kind = kind.strip().lower()
     if kind == "gevrey":
-        return gevrey(float(arg), PP)
+        return gevrey(_number(arg, f"gevrey order in {text!r}"), PP)
     if kind == "qgevrey":
-        return qgevrey(float(arg), PP)
+        return qgevrey(_number(arg, f"q-gevrey base in {text!r}"), PP)
     if kind == "file":
         seq = load_sequence(arg)
         return seq if P is None else seq.extended(PP) if PP > seq.P else seq
@@ -296,8 +310,8 @@ def little_m(M: WeightSequence) -> WeightSequence:
 
 
 def factorial_shift(M: WeightSequence, s: float) -> WeightSequence:
-    """Multiply by (p!)^s in log domain."""
-    s = float(s)
+    """Multiply by (p!)^s in log domain; s is anything float() accepts."""
+    s = _number(s, "factorial shift")
     logM = M.logM + s * log_factorial(np.arange(M.P + 1))
     form = M.generator.shift(s) if isinstance(M.generator, ClosedForm) else None
     return WeightSequence(f"shift[{M.name},{s:g}]", logM, form,
@@ -377,12 +391,14 @@ def load_sequence(path) -> WeightSequence:
     if not isinstance(doc, dict) or "name" not in doc:
         raise InvalidSequenceError(f"malformed sequence file {path}")
     fam = doc.get("family") or {"type": "custom"}
-    kind, params = fam.get("type"), fam.get("params", {})
+    if not isinstance(fam, dict):
+        raise InvalidSequenceError(f"{path}: family block must be an object, got {fam!r}")
+    kind = fam.get("type")
     form = None
     if kind in ("gevrey", "qgevrey"):
         form = make_family(fam, P=8).generator  # checks the parameter
     elif kind == "closed-form":
-        form = ClosedForm(float(params["a"]), float(params["b"]))
+        form = ClosedForm(_family_param(fam, "a"), _family_param(fam, "b"))
     logM = doc.get("logM")
     if logM is None:
         if form is None:

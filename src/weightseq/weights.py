@@ -16,6 +16,7 @@ still diverges for every sequence N whose little-m is dominated by a.
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -34,11 +35,49 @@ LN2 = math.log(2.0)
 DIRECT_KMAX = 2_000_000
 # relative mass cutoff for series truncation past the peak
 SERIES_RELATIVE_CUTOFF = 1e-16
+# omega_mp brackets ln p* starting from [0, this]
+OMEGA_MP_U_START = 8.0
 
 
 def _require_finite(fn: str, t: float) -> None:
     if not math.isfinite(t):
         raise InvalidSequenceError(f"{fn}: t must be finite, got {t}")
+
+
+# ---------------------------------------------------------------------------
+# one-dimensional searches; fixed step counts, which fix the report bytes
+# ---------------------------------------------------------------------------
+
+def _ternary_max(f, lo, hi, steps: int):
+    """Argmax of a unimodal f on [lo, hi]: midpoint after ``steps`` cuts."""
+    for _ in range(steps):
+        m1 = lo + (hi - lo) / 3
+        m2 = hi - (hi - lo) / 3
+        if f(m1) < f(m2):
+            lo = m1
+        else:
+            hi = m2
+    return 0.5 * (lo + hi)
+
+
+def _bracket_bisect(holds, lo, hi, cap, steps: int):
+    """(lo, hi) around where a monotone predicate stops holding, or None.
+
+    hi doubles while ``holds(hi)`` (None once it passes ``cap``), then
+    ``steps`` halvings keep holds(lo) true and holds(hi) false.
+    """
+    while holds(hi):
+        lo = hi
+        hi *= 2
+        if hi > cap:
+            return None
+    for _ in range(steps):
+        mid = (lo + hi) / 2
+        if holds(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
 
 
 # ---------------------------------------------------------------------------
@@ -126,13 +165,11 @@ def omega_extended(M: WeightSequence, t: float) -> OmegaValue:
 
     if logquot(1) > logt:
         return OmegaValue(0.0, 0, True)
-    lo, hi = 1, 2
-    while logquot(hi) <= logt:
-        lo = hi
-        hi *= 2
-        if hi > 2**62:
-            raise UntrustedEvaluationError(
-                f"omega: quotients of {M.name} never exceed t={t:g} (supremum censored)")
+    bracket = _bracket_bisect(lambda p: logquot(p) <= logt, 1, 2, 2**62, 0)
+    if bracket is None:
+        raise UntrustedEvaluationError(
+            f"omega: quotients of {M.name} never exceed t={t:g} (supremum censored)")
+    lo, hi = bracket  # integer halving: real midpoints past 2^53 are not integers
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if logquot(mid) <= logt:
@@ -143,7 +180,7 @@ def omega_extended(M: WeightSequence, t: float) -> OmegaValue:
     return OmegaValue(max(value, 0.0), lo, True)
 
 
-def omega_mp(M: WeightSequence, log_t, u_hint: float = 8.0):
+def omega_mp(M: WeightSequence, log_t):
     """(log-domain argument) omega for log-convex closed-form sequences, mpmath result.
 
     Accepts ln t as a float (possibly ~1e10) and returns omega_M(t) as an
@@ -166,21 +203,13 @@ def omega_mp(M: WeightSequence, log_t, u_hint: float = 8.0):
 
     if quot(1) > logt:
         return mp.mpf(0)
-    u_lo, u_hi = mp.mpf(0), mp.mpf(max(u_hint, 8.0))
     cap = mp.mpf(max(1e12, 1e6 * (1.0 + abs(float(log_t)))))
-    while quot(mp.exp(u_hi)) <= logt:
-        u_lo = u_hi
-        u_hi *= 2
-        if u_hi > cap:
-            raise UntrustedEvaluationError(
-                f"omega_mp: quotients of {M.name} never exceed the argument")
-    for _ in range(70):
-        mid = (u_lo + u_hi) / 2
-        if quot(mp.exp(mid)) <= logt:
-            u_lo = mid
-        else:
-            u_hi = mid
-    p_star = mp.floor(mp.exp(u_lo))
+    bracket = _bracket_bisect(lambda u: quot(mp.exp(u)) <= logt,
+                              mp.mpf(0), mp.mpf(OMEGA_MP_U_START), cap, 70)
+    if bracket is None:
+        raise UntrustedEvaluationError(
+            f"omega_mp: quotients of {M.name} never exceed the argument")
+    p_star = mp.floor(mp.exp(bracket[0]))
     best = mp.mpf(0)
     for q in (p_star - 1, p_star, p_star + 1):
         if q >= 1 and quot(q) <= logt:
@@ -223,6 +252,17 @@ class AssociatedWeight:
         for t in t_grid:
             r = omega(self.source, float(t))
             rows.append((float(t), r.value, r.argmax, r.trusted))
+        return rows
+
+    def write_csv(self, path, t_grid) -> list:
+        """Write the table to a CSV file (floats at 17 significant digits)
+        and return its rows."""
+        rows = self.table(t_grid)
+        with open(path, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(("t", "omega", "argmax", "trusted"))
+            for r in rows:
+                w.writerow((f"{r[0]:.17g}", f"{r[1]:.17g}", r[2], r[3]))
         return rows
 
 
@@ -392,19 +432,12 @@ class GrowthGauge:
                 kk = math.exp(u)
                 return (kk * x - float(self._log_a(np.array([kk]))[0])
                         - float(gammaln(kk + 1.0)))
-            u_lo, u_hi = 0.0, 16.0
+            u_hi = 16.0
             while phi(u_hi) > phi(u_hi - 0.5):
                 u_hi += 4.0
                 if u_hi > 700.0:
                     break
-            for _ in range(90):
-                m1 = u_lo + (u_hi - u_lo) / 3
-                m2 = u_hi - (u_hi - u_lo) / 3
-                if phi(m1) < phi(m2):
-                    u_lo = m1
-                else:
-                    u_hi = m2
-            u_star = 0.5 * (u_lo + u_hi)
+            u_star = _ternary_max(phi, 0.0, u_hi, 90)
             h_val = phi(u_star) + 0.5 * (math.log(2 * math.pi) + u_star)
             return math.log(max(h_val, 1e-300))
         if self.a_rate is None:
@@ -418,15 +451,8 @@ class GrowthGauge:
                 return -math.inf
             return u + math.log(psi)
         # peak sits near u* = x - rate(u*) + 1; leave generous headroom
-        u_lo, u_hi = 2.0, x + 2.0 * math.log(max(x, 10.0)) + 50.0
-        for _ in range(140):
-            m1 = u_lo + (u_hi - u_lo) / 3
-            m2 = u_hi - (u_hi - u_lo) / 3
-            if w(m1) < w(m2):
-                u_lo = m1
-            else:
-                u_hi = m2
-        return w(0.5 * (u_lo + u_hi))
+        u_hi = x + 2.0 * math.log(max(x, 10.0)) + 50.0
+        return w(_ternary_max(w, 2.0, u_hi, 140))
 
     # -- f, g ----------------------------------------------------------------
     def f(self, t: float) -> float:
@@ -452,15 +478,8 @@ class GrowthGauge:
                 return -math.inf
             return v + math.log(psi)
 
-        v_lo, v_hi = -5.0, 2.0 * math.log(max(x, 10.0)) + 50.0
-        for _ in range(120):
-            m1 = v_lo + (v_hi - v_lo) / 3
-            m2 = v_hi - (v_hi - v_lo) / 3
-            if wv(m1) < wv(m2):
-                v_lo = m1
-            else:
-                v_hi = m2
-        W = wv(0.5 * (v_lo + v_hi))
+        v_hi = 2.0 * math.log(max(x, 10.0)) + 50.0
+        W = wv(_ternary_max(wv, -5.0, v_hi, 120))
         return 0.5 * (W - 2.0 * LN2)
 
     def dump_rows(self, k_max: int) -> list:
@@ -512,15 +531,7 @@ def _member_bound_record(N: WeightSequence, a: WeightSequence) -> dict:
         raise PreconditionError(
             f"gauge: member {N.name} exceeds every tested bound multiple of "
             f"{a.name} (ratio still growing at j={MEMBER_PROBE_JMAX:.0e})")
-    lo, hi = turned
-    for _ in range(200):
-        m1 = lo + (hi - lo) / 3
-        m2 = hi - (hi - lo) / 3
-        if ratio_at(m1) < ratio_at(m2):
-            lo = m1
-        else:
-            hi = m2
-    peak_j = 0.5 * (lo + hi)
+    peak_j = _ternary_max(ratio_at, *turned, 200)
     log_D = max(log_D, ratio_at(peak_j))
     return {"log_D": log_D, "argmax_j": peak_j, "certified": True}
 

@@ -64,8 +64,12 @@ def test_transform_empty_chain_is_copy(tmp_path):
     assert np.array_equal(T.logM, sc.gevrey(0.5).logM)
 
 
-def test_transform_unknown_step(tmp_path):
+def test_transform_unknown_step(tmp_path, capsys):
     assert run(["transform", "gevrey:0.5", "frobnicate"]) == 1
+    # malformed numbers in a spec or a step end in an error line, exit 1
+    assert run(["analyze", "gevrey:abc"]) == 1
+    assert run(["transform", "gevrey:1", "shift:x"]) == 1
+    assert capsys.readouterr().err.count("error: ") == 3
 
 
 def test_transform_precondition_surfaces(tmp_path):

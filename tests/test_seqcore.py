@@ -52,6 +52,13 @@ def test_make_family_specs():
         sc.make_family("nonsense:1")
     with pytest.raises(InvalidSequenceError):
         sc.make_family("justtext")
+    # malformed parameters raise InvalidSequenceError, not a bare Python error
+    for bad in ("gevrey:abc", "qgevrey:", {"type": "gevrey", "params": {}},
+                {"type": "qgevrey"}, {"type": "gevrey", "params": {"alpha": "x"}},
+                {"type": "gevrey", "params": {"alpha": None}},
+                {"type": "gevrey", "params": [0.5]}):
+        with pytest.raises(InvalidSequenceError):
+            sc.make_family(bad)
 
 
 def test_generator_consistency_enforced():
@@ -247,6 +254,18 @@ def test_json_family_mismatch_rejected(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(InvalidSequenceError):
         sc.load_sequence(path)
+    # malformed family blocks: missing or non-numeric parameter, non-object
+    # family or params
+    doc["logM"][3] -= 0.5
+    for family in ({"type": "gevrey", "params": {}},
+                   {"type": "closed-form", "params": {"a": 0.5}},
+                   {"type": "closed-form", "params": {"a": "half", "b": 0.0}},
+                   {"type": "gevrey", "params": {"alpha": "half"}},
+                   {"type": "gevrey", "params": "alpha"},
+                   ["gevrey", 0.5], "gevrey"):
+        path.write_text(json.dumps(dict(doc, family=family)))
+        with pytest.raises(InvalidSequenceError):
+            sc.load_sequence(path)
 
 
 def test_structural_predicates():
