@@ -78,6 +78,21 @@ class ClosedForm:
         out = mp.mpf(self.a) * mp.log(p) if self.a else mp.mpf(0)
         return out + mp.mpf(self.b) * (2 * p - 1) if self.b else out
 
+    def inverse_mu_mp(self, log_t):
+        """Largest p with ln mu_p <= log_t, in mpmath, or None.
+
+        Closed only for a one-term form: floor(exp(log_t / a)) when b = 0
+        and a > 0, floor((log_t / b + 1) / 2) when a = 0 and b > 0.  Past
+        the working precision p +- 1 round to p, so callers check the
+        answer against log_mu_mp.
+        """
+        import mpmath as mp
+        if self.b == 0 and self.a > 0:
+            return mp.floor(mp.exp(log_t / mp.mpf(self.a)))
+        if self.a == 0 and self.b > 0:
+            return mp.floor((log_t / mp.mpf(self.b) + 1) / 2)
+        return None
+
     def conjugate(self) -> "ClosedForm":
         return ClosedForm(1.0 - self.a, -self.b)
 
@@ -106,7 +121,7 @@ class WeightSequence:
     provenance: str = "custom"
 
     def __post_init__(self):
-        arr = np.asarray(self.logM, dtype=float)
+        arr = _float_array(self.logM, f"logM of {self.name}")
         if arr.ndim != 1:
             raise InvalidSequenceError("logM must be one-dimensional")
         if arr.size < 9:
@@ -209,7 +224,7 @@ def qgevrey(q: float, P: int = DEFAULT_P) -> WeightSequence:
 
 def custom(logM, name: str = "custom") -> WeightSequence:
     """Wrap an explicit array of ln M_p values."""
-    arr = np.asarray(logM, dtype=float)
+    arr = _float_array(logM, f"custom sequence {name}")
     if arr.size and not np.all(np.isfinite(arr)):
         raise InvalidSequenceError("custom sequence has non-finite entries")
     return WeightSequence(name, arr, provenance="custom")
@@ -241,6 +256,14 @@ def _number(value, what: str) -> float:
         return float(value)
     except (TypeError, ValueError):
         raise InvalidSequenceError(f"{what} must be a number, got {value!r}") from None
+
+
+def _float_array(values, what: str) -> np.ndarray:
+    """np.asarray(values, dtype=float), or InvalidSequenceError naming the input."""
+    try:
+        return np.asarray(values, dtype=float)
+    except (TypeError, ValueError):
+        raise InvalidSequenceError(f"{what} must hold numbers only") from None
 
 
 def _family_param(fam: dict, key: str) -> float:
@@ -403,5 +426,10 @@ def load_sequence(path) -> WeightSequence:
     if logM is None:
         if form is None:
             raise InvalidSequenceError(f"{path}: custom family requires logM data")
-        logM = form(np.arange(int(doc.get("P", DEFAULT_P)) + 1))
+        try:
+            P = int(doc.get("P", DEFAULT_P))
+        except (TypeError, ValueError, OverflowError):
+            raise InvalidSequenceError(
+                f"{path}: P must be an integer, got {doc.get('P')!r}") from None
+        logM = form(np.arange(P + 1))
     return WeightSequence(doc["name"], logM, form, doc.get("provenance", "file"))

@@ -35,8 +35,10 @@ LN2 = math.log(2.0)
 DIRECT_KMAX = 2_000_000
 # relative mass cutoff for series truncation past the peak
 SERIES_RELATIVE_CUTOFF = 1e-16
-# omega_mp brackets ln p* starting from [0, this]
+# omega_mp's bisection brackets ln p* starting from [0, this]
 OMEGA_MP_U_START = 8.0
+# steps of the argument down by one unit of precision before bisecting
+OMEGA_MP_STEP_DOWNS = 4
 
 
 def _require_finite(fn: str, t: float) -> None:
@@ -49,13 +51,21 @@ def _require_finite(fn: str, t: float) -> None:
 # ---------------------------------------------------------------------------
 
 def _ternary_max(f, lo, hi, steps: int):
-    """Argmax of a unimodal f on [lo, hi]: midpoint after ``steps`` cuts."""
+    """Argmax of a unimodal f on [lo, hi]: midpoint after ``steps`` cuts.
+
+    A cut that leaves its end where it was is a fixed point (every later
+    step would repeat it), so the loop stops there with the same result.
+    """
     for _ in range(steps):
         m1 = lo + (hi - lo) / 3
         m2 = hi - (hi - lo) / 3
         if f(m1) < f(m2):
+            if m1 == lo:
+                break
             lo = m1
         else:
+            if m2 == hi:
+                break
             hi = m2
     return 0.5 * (lo + hi)
 
@@ -64,7 +74,8 @@ def _bracket_bisect(holds, lo, hi, cap, steps: int):
     """(lo, hi) around where a monotone predicate stops holding, or None.
 
     hi doubles while ``holds(hi)`` (None once it passes ``cap``), then
-    ``steps`` halvings keep holds(lo) true and holds(hi) false.
+    ``steps`` halvings keep holds(lo) true and holds(hi) false; a midpoint
+    equal to the end it replaces is a fixed point and ends the halving.
     """
     while holds(hi):
         lo = hi
@@ -74,8 +85,12 @@ def _bracket_bisect(holds, lo, hi, cap, steps: int):
     for _ in range(steps):
         mid = (lo + hi) / 2
         if holds(mid):
+            if mid == lo:
+                break
             lo = mid
         else:
+            if mid == hi:
+                break
             hi = mid
     return lo, hi
 
@@ -180,14 +195,46 @@ def omega_extended(M: WeightSequence, t: float) -> OmegaValue:
     return OmegaValue(max(value, 0.0), lo, True)
 
 
+def _step_term(form: ClosedForm, logt, p_star):
+    """max(0, q ln t - ln M_q) over q = p_star - 1, p_star, p_star + 1 with
+    mu_q <= t, or None when no q passes that check."""
+    import mpmath as mp
+
+    best = None
+    for q in (p_star - 1, p_star, p_star + 1):
+        if q >= 1 and form.log_mu_mp(q) <= logt:
+            best = max(mp.mpf(0) if best is None else best,
+                       q * logt - form.log_M_mp(q))
+    return best
+
+
+def _omega_mp_bisect(M: WeightSequence, logt):
+    """omega_mp by bisection on ln p: the fallback and the test oracle."""
+    import mpmath as mp
+
+    form = M.generator
+    cap = mp.mpf(max(1e12, 1e6 * (1.0 + abs(float(logt)))))
+    bracket = _bracket_bisect(lambda u: form.log_mu_mp(mp.exp(u)) <= logt,
+                              mp.mpf(0), mp.mpf(OMEGA_MP_U_START), cap, 70)
+    if bracket is None:
+        raise UntrustedEvaluationError(
+            f"omega_mp: quotients of {M.name} never exceed the argument")
+    best = _step_term(form, logt, mp.floor(mp.exp(bracket[0])))
+    return mp.mpf(0) if best is None else best
+
+
 def omega_mp(M: WeightSequence, log_t):
     """(log-domain argument) omega for log-convex closed-form sequences, mpmath result.
 
     Accepts ln t as a float (possibly ~1e10) and returns omega_M(t) as an
-    mpf, found via the largest p with mu_p <= t located by bisection on
-    ln p.  The closed-form quotients are used directly: a loggamma
-    difference at p ~ exp(1000) would cancel catastrophically at any
-    workable precision.
+    mpf: the term at the largest p with mu_p <= t.  That p comes from the
+    form's inverse quotient where it has one (one-term forms).  Where p
+    +- 1 round to p at the working precision and none of them passes
+    mu_p <= t, the argument is stepped down by one unit of relative
+    precision, at most OMEGA_MP_STEP_DOWNS times; a mixed form, or a p
+    still unresolved, goes to the bisection on ln p.  The closed-form
+    quotients are used directly: a loggamma difference at p ~ exp(1000)
+    would cancel catastrophically at any workable precision.
     """
     import mpmath as mp
 
@@ -197,26 +244,18 @@ def omega_mp(M: WeightSequence, log_t):
             f"omega_mp: {M.name} has no closed-form generator")
     if not is_log_convex(M):
         raise PreconditionError(f"omega_mp: {M.name} is not log-convex")
-    gen = form.log_M_mp
-    quot = form.log_mu_mp
     logt = mp.mpf(log_t)
 
-    if quot(1) > logt:
+    if form.log_mu_mp(1) > logt:
         return mp.mpf(0)
-    cap = mp.mpf(max(1e12, 1e6 * (1.0 + abs(float(log_t)))))
-    bracket = _bracket_bisect(lambda u: quot(mp.exp(u)) <= logt,
-                              mp.mpf(0), mp.mpf(OMEGA_MP_U_START), cap, 70)
-    if bracket is None:
-        raise UntrustedEvaluationError(
-            f"omega_mp: quotients of {M.name} never exceed the argument")
-    p_star = mp.floor(mp.exp(bracket[0]))
-    best = mp.mpf(0)
-    for q in (p_star - 1, p_star, p_star + 1):
-        if q >= 1 and quot(q) <= logt:
-            cand = q * logt - gen(q)
-            if cand > best:
-                best = cand
-    return best
+    for k in range(OMEGA_MP_STEP_DOWNS + 1):
+        p_hat = form.inverse_mu_mp(logt * (1 - k * mp.eps))
+        if p_hat is None:
+            break
+        best = _step_term(form, logt, p_hat)
+        if best is not None:
+            return best
+    return _omega_mp_bisect(M, logt)
 
 
 def valid_to(M: WeightSequence) -> float:

@@ -1,12 +1,14 @@
-"""Bit-for-bit pins of the fixed-step one-dimensional searches.
+"""Bit-for-bit pins of the one-dimensional searches and of omega_mp.
 
 The ring thresholds k(n) and the omega values at ln t ~ 1e10-1e15 come out
-of ternary searches (log_h, log_g, the member bound record) and
-bracket-then-bisect searches (omega_mp, build_counterexample) with fixed
-step counts.  Those step counts fix the bytes of the ``verify`` report, so
-any change to a search's bracket, step count or midpoint rule shows up
-here first.  Floats are pinned via float.hex(), mpf values as 50-digit
-strings at 50-digit working precision.
+of ternary searches (log_h, log_g, the member bound record) and a
+bracket-then-bisect search (build_counterexample) with fixed step counts,
+and out of omega_mp's inverse quotient, which stays within 1e-9 of its
+bisection fallback and below it by no more than rounding (1e-40).  These
+fix the bytes of the ``verify`` report, so any change to a search's
+bracket, step count or midpoint rule shows up here first.  Floats are
+pinned via float.hex(), mpf values as 50-digit strings at 50-digit working
+precision.
 """
 
 import mpmath as mp
@@ -14,7 +16,8 @@ import pytest
 
 from weightseq import gevrey, markin_bound
 from weightseq.operator_lab import build_counterexample
-from weightseq.weights import _member_bound_record, build_gauge, omega_mp
+from weightseq.weights import (_member_bound_record, _omega_mp_bisect,
+                               build_gauge, omega_mp)
 
 
 @pytest.fixture(scope="module")
@@ -43,16 +46,18 @@ LOG_G = {
     1e10: "0x1.5a3b9fabc5207p+3",
     1e15: "0x1.0938488022dfap+4",
 }
+# the term at the inverse quotient's p*; at alpha = 0.5, ln p* = 2 ln t is
+# an integer the bisection's dyadic midpoints hit, so those pins are its own
 OMEGA_MP = {
-    0.1: {1e4: "2.80666336041054322369395883610625240510113974643e+43428",
-          1e10: "2.1143669141793896274176531608155422109206009698921e+43429448189",
-          1e15: "1.0849992114454075265384277361524590616110796645118e+4342944819032517"},
+    0.1: {1e4: "2.8066633604105432236939588361062524051011397459966e+43428",
+          1e10: "2.1143669141793896274188102230251941023149292009017e+43429448189",
+          1e15: "1.0849992114510806174967544830306489132777709796796e+4342944819032517"},
     0.5: {1e4: "3.878002362993430522916020339631750980084034772772e+8685",
           1e10: "5.8077318647752813879172778901449939907813851227543e+8685889637",
           1e15: "2.2608526700068952318958508162951372914061349984659e+868588963806503"},
-    0.9: {1e4: "2.8085740504271014958492828091711880834593735066164e+4825",
-          1e10: "2.1072067173627767852401275389519727546188389156751e+4825494243",
-          1e15: "2.6152014784721545284777605296036273513089114300589e+482549424336946"},
+    0.9: {1e4: "2.8085740504271014958492828091711881181268577563907e+4825",
+          1e10: "2.1072067173627767852401297666021534116235732076196e+4825494243",
+          1e15: "2.6152014784723648495218245876643115160382962473241e+482549424336946"},
 }
 # minimal thresholds g(k(n)) >= n: the first three rings are integer k(n)
 LOGK_MINIMAL = [
@@ -93,8 +98,12 @@ def test_member_bound_record_pinned():
 def test_omega_mp_pinned(alpha):
     M = gevrey(alpha)
     with mp.workdps(50):
-        got = {x: mp.nstr(omega_mp(M, x), 50) for x in OMEGA_MP[alpha]}
-    assert got == OMEGA_MP[alpha]
+        got = {x: omega_mp(M, x) for x in OMEGA_MP[alpha]}
+        assert {x: mp.nstr(v, 50) for x, v in got.items()} == OMEGA_MP[alpha]
+        for x, v in got.items():
+            ref = _omega_mp_bisect(M, mp.mpf(x))
+            assert v >= ref * (1 - mp.mpf("1e-40"))
+            assert abs(v - ref) <= mp.mpf("1e-9") * ref
 
 
 def test_counterexample_thresholds_pinned(gauge):

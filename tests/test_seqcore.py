@@ -268,6 +268,30 @@ def test_json_family_mismatch_rejected(tmp_path):
             sc.load_sequence(path)
 
 
+@pytest.mark.parametrize("doc", [
+    {"name": "g", "P": "abc", "family": {"type": "gevrey", "params": {"alpha": 1.5}}},
+    {"name": "g", "P": None, "family": {"type": "gevrey", "params": {"alpha": 1.5}}},
+    {"name": "g", "P": [40], "family": {"type": "gevrey", "params": {"alpha": 1.5}}},
+    {"name": "c", "P": 10, "logM": ["a"] + list(range(10))},
+    {"name": "c", "P": 10, "logM": [[0, 1]] * 11},
+    {"name": "c", "P": 10, "logM": {"0": 0}},
+])
+def test_json_non_numeric_window_rejected(tmp_path, doc):
+    path = tmp_path / "seq.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(InvalidSequenceError):
+        sc.load_sequence(path)
+
+
+@pytest.mark.parametrize("logM", [["a"] * 10, [None] * 10, [[0.0, 1.0]] * 10,
+                                  [0.0] * 9 + ["1e"]])
+def test_custom_non_numeric_rejected(logM):
+    with pytest.raises(InvalidSequenceError):
+        sc.custom(logM)
+    with pytest.raises(InvalidSequenceError):
+        sc.WeightSequence("w", logM)
+
+
 def test_structural_predicates():
     assert sc.is_log_convex(sc.gevrey(2))
     assert sc.is_normalized(sc.gevrey(1))

@@ -137,6 +137,75 @@ def test_omega_extended_needs_closed_form():
         wt.omega_mp(plain, math.log(97.3))
 
 
+OMEGA_MP_FORMS = (
+    [f"gevrey:{a / 10:g}" for a in range(1, 10)]
+    + [f"conjugate:{a / 10:g}" for a in range(1, 10)]
+    + [f"qgevrey:{q:g}" for q in (1.5, 2.0, 3.0)])
+
+
+def _omega_mp_case(spec):
+    kind, _, arg = spec.partition(":")
+    if kind == "conjugate":
+        return tr.conjugate(sc.gevrey(float(arg)))
+    return sc.make_family(spec)
+
+
+@pytest.mark.parametrize("spec", OMEGA_MP_FORMS)
+def test_omega_mp_inverse_quotient_against_bisection(spec):
+    # the inverse quotient lands on p* itself, the bisection on a point up
+    # to ~1.5e-5 below it in ln p: omega is flat there to second order
+    import mpmath as mp
+    M = _omega_mp_case(spec)
+    with mp.workdps(50):
+        for log_t in (3.0, 50.0, 1e4, 1e10, 1e15):
+            fast = wt.omega_mp(M, log_t)
+            ref = wt._omega_mp_bisect(M, mp.mpf(log_t))
+            assert fast >= ref * (1 - mp.mpf("1e-40"))
+            assert abs(fast - ref) <= mp.mpf("1e-9") * ref
+            assert fast > 0 or ref == 0
+
+
+@pytest.mark.parametrize("alpha, log_t", [(0.1, 3.1e13), (0.9, 1.3e11),
+                                          (0.7, 7e12)])
+def test_omega_mp_steps_down_where_p_star_is_unresolved(alpha, log_t):
+    # p* +- 1 round to p* at 50 digits and none passes mu_p <= t: the
+    # argument is stepped down, never answered with 0
+    import mpmath as mp
+    M = sc.gevrey(alpha)
+    with mp.workdps(50):
+        logt = mp.mpf(log_t)
+        p_hat = M.generator.inverse_mu_mp(logt)
+        assert p_hat + 1 == p_hat
+        assert wt._step_term(M.generator, logt, p_hat) is None
+        fast = wt.omega_mp(M, log_t)
+        ref = wt._omega_mp_bisect(M, logt)
+        assert ref > 0 and fast >= ref * (1 - mp.mpf("1e-40"))
+        assert abs(fast - ref) <= mp.mpf("1e-9") * ref
+
+
+def test_omega_mp_mixed_form_takes_the_bisection():
+    import mpmath as mp
+    M = sc.factorial_shift(sc.qgevrey(2), 1)
+    assert M.generator.inverse_mu_mp(mp.mpf(10)) is None
+    with mp.workdps(50):
+        for log_t in (50.0, 1e4, 1e10):
+            assert wt.omega_mp(M, log_t) == wt._omega_mp_bisect(M, mp.mpf(log_t))
+
+
+def test_omega_mp_mpmath_call_count(monkeypatch):
+    # O(1) exp/log per call; the bisection spends about 116
+    import mpmath as mp
+    counts = {"exp": 0, "log": 0}
+    for name in counts:
+        def counted(*args, _fn=getattr(mp, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(mp, name, counted)
+    with mp.workdps(50):
+        assert wt.omega_mp(sc.gevrey(0.1), 1e10) > 0
+    assert counts["exp"] < 20 and counts["log"] < 20
+
+
 @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("fn", [wt.omega, wt.counting, wt.omega_extended,
                                 wt.integral_representation_residual])
