@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import InvalidSequenceError, PreconditionError
+from .errors import InvalidSequenceError, PreconditionError, WeightSeqError
 from .seqcore import (QuotientView, SequenceFamily, WeightSequence,
                       is_log_convex, is_normalized, little_m, quotients)
 from .transforms import dual
@@ -115,6 +115,28 @@ def _check_log_concave_m(M, tol=1e-12):
     return Verdict("holds", {"max_second_diff": float(d2.max())}, (1, M.P - 1))
 
 
+def _log_window_constant(logM: np.ndarray) -> float:
+    """ln C, the least C with M_{p+q} <= C^{p+q+1} M_p M_q on the window.
+
+    low[s] is the smallest ln M_p + ln M_q over p + q = s, kept as a
+    running minimum over the rows p <= s/2: O(P) memory, O(P^2) time.  The
+    result equals max over all pairs of (ln M_s - ln M_p - ln M_q)/(s+1)
+    bit for bit, because rounded subtraction and division are monotone.
+    """
+    P = logM.size - 1
+    low = logM[0] + logM
+    for p in range(1, P // 2 + 1):
+        np.minimum(low[2 * p:], logM[p] + logM[p : P - p + 1], out=low[2 * p:])
+    return float(np.max((logM - low) / np.arange(1.0, P + 2)))
+
+
+def _exp_reported(log_C: float) -> float:
+    """C for a witness; inf past float range, which check_property does not
+    let a holds or fails rest on."""
+    with np.errstate(over="ignore"):
+        return float(np.exp(log_C))
+
+
 def _check_mg(M, tol=1e-12):
     """Moderate growth: M_{p+q} <= C^{p+q+1} M_p M_q.
 
@@ -124,15 +146,7 @@ def _check_mg(M, tol=1e-12):
     and a convexly growing tail refutes.
     """
     logM = M.logM
-    n = M.P + 1
-    pair = logM[None, : n] + logM[: n, None]          # logM[p] + logM[q]
-    idx = np.arange(n)
-    s = idx[None, :] + idx[:, None]
-    valid = s <= M.P
-    stat = np.where(valid, (logM[np.minimum(s, M.P)] - pair), -np.inf)
-    denom = s + 1.0
-    c_all = stat / denom
-    C_w = float(np.exp(c_all.max()))
+    log_C = _log_window_constant(logM)
     dia = np.arange(1, M.P // 2 + 1)
     d_p = (logM[2 * dia] - 2 * logM[dia]) / (2 * dia + 1.0)
     if is_log_convex(M):
@@ -140,7 +154,8 @@ def _check_mg(M, tol=1e-12):
         m_p = logmu[2 * dia] - logmu[dia]
         tail = _tail(m_p)
         if _nonincreasing(tail, 1e-9):
-            return Verdict("holds", {"C": C_w, "doubling_tail": float(tail[-1])},
+            return Verdict("holds", {"C": _exp_reported(log_C),
+                                     "doubling_tail": float(tail[-1])},
                            (1, M.P), "quotient-doubling statistic stable")
         inc = np.diff(tail)
         if np.all(inc >= -1e-12) and tail[-1] > tail[0] + 0.5 and \
@@ -154,8 +169,9 @@ def _check_mg(M, tol=1e-12):
                            "pair statistic grows linearly along the diagonal")
     tail_d = _tail(d_p)
     if _nonincreasing(tail_d, 1e-9) or int(np.argmax(d_p)) <= len(d_p) // 2:
-        return Verdict("holds", {"C": C_w}, (1, M.P), "pair statistic stable")
-    return Verdict("inconclusive", {"C_window": C_w}, (1, M.P),
+        return Verdict("holds", {"C": _exp_reported(log_C)}, (1, M.P),
+                       "pair statistic stable")
+    return Verdict("inconclusive", {"C_window": _exp_reported(log_C)}, (1, M.P),
                    "pair statistic still moving at window end")
 
 
@@ -262,7 +278,10 @@ def _check_gamma1(M, tol=1e-12):
         tail_bound = math.exp(log_tail)
         inv_mu = np.exp(-logmu[1:])
         suffix = np.cumsum(inv_mu[::-1])[::-1]
-        stat = np.exp(logmu[1:] - np.log(p)) * (suffix + tail_bound)
+        # once mu_p passes float range this is inf, or inf * 0 = NaN, and
+        # check_property withdraws the verdict
+        with np.errstate(over="ignore", invalid="ignore"):
+            stat = np.exp(logmu[1:] - np.log(p)) * (suffix + tail_bound)
         return Verdict("holds",
                        {"sup": float(stat.max()), "argmax_p": int(np.argmax(stat) + 1),
                         "tail_rate": r_fit, "tail_bound": tail_bound}, (1, P))
@@ -321,7 +340,7 @@ def _check_om1(M, tol=1e-12):
                 vals.append(w2.value / w1.value)
         if vals:
             ratio_sup = float(max(vals))
-    except Exception:
+    except WeightSeqError:
         pass
     if is_log_convex(M) and base.status != "inconclusive":
         w = dict(base.witness)
@@ -350,13 +369,32 @@ _CHECKS = {
 PROPERTY_NAMES = tuple(_CHECKS)
 
 
+def _finite(value) -> bool:
+    """No float inside value (nested dicts, lists and tuples included) is
+    NaN or infinite."""
+    if isinstance(value, dict):
+        return all(_finite(v) for v in value.values())
+    if isinstance(value, (list, tuple)):
+        return all(_finite(v) for v in value)
+    if isinstance(value, (float, np.floating)):
+        return math.isfinite(value)
+    return True
+
+
 def check_property(M: WeightSequence, prop: str, tol: float = 1e-12) -> Verdict:
+    """Run one predicate.  A holds or fails is only as good as its witness:
+    one that carries a non-finite float comes back inconclusive."""
     try:
         fn = _CHECKS[prop]
     except KeyError:
         raise InvalidSequenceError(
             f"unknown property {prop!r}; known: {', '.join(_CHECKS)}") from None
-    return fn(M, tol)
+    v = fn(M, tol)
+    if v.status != "inconclusive" and not _finite(v.witness):
+        notes = f"{v.status} withdrawn: non-finite witness"
+        return Verdict("inconclusive", v.witness, v.window,
+                       f"{notes}; {v.notes}" if v.notes else notes)
+    return v
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -37,6 +40,61 @@ def test_mg_fixtures():
     assert v.holds and v.witness["C"] < 8.0
 
 
+def _window_constant_matrix(logM):
+    """ln C from every pair (p, q) at once in (P+1)^2 arrays: the formula
+    the linear-memory scan replaced, kept as its oracle."""
+    P = logM.size - 1
+    n = P + 1
+    pair = logM[None, :n] + logM[:n, None]
+    idx = np.arange(n)
+    s = idx[None, :] + idx[:, None]
+    stat = np.where(s <= P, logM[np.minimum(s, P)] - pair, -np.inf)
+    return float((stat / (s + 1.0)).max())
+
+
+def _perturbed(alpha, P, seed):
+    logM = sc.gevrey(alpha, P=P).logM.copy()
+    logM[1:] += 0.02 * np.random.default_rng(seed).uniform(size=P)
+    return sc.custom(logM)
+
+
+_MG_WINDOWS = {
+    "gevrey": lambda P: sc.gevrey(1.5, P=P),
+    "qgevrey": lambda P: sc.qgevrey(2, P=P),
+    "conjugate": lambda P: tr.conjugate(sc.gevrey(0.3, P=P)),
+    "custom": lambda P: _perturbed(0.9, P, P),
+    "lcm": lambda P: tr.log_convex_minorant(_perturbed(1.5, P, P + 1)),
+}
+
+
+@pytest.mark.parametrize("P", [0, 1, 2, 3, 16, 17, 512, 1024])
+@pytest.mark.parametrize("kind", sorted(_MG_WINDOWS))
+def test_window_constant_matches_all_pairs(kind, P):
+    # sequences need P >= 8: shorter windows are prefixes of a longer one
+    logM = _MG_WINDOWS[kind](max(P, 16)).logM[: P + 1]
+    assert an._log_window_constant(logM) == _window_constant_matrix(logM)
+
+
+@given(st.lists(st.floats(min_value=-1e300, max_value=1e300, allow_nan=False),
+                min_size=1, max_size=60))
+@settings(max_examples=200)
+def test_window_constant_matches_all_pairs_random(logs):
+    logM = np.asarray(logs, dtype=float)
+    assert an._log_window_constant(logM) == _window_constant_matrix(logM)
+
+
+def test_mg_memory_linear_in_P():
+    M = sc.gevrey(1.5, P=10_000)
+    tracemalloc.start()
+    try:
+        v = an.check_property(M, "mg")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert v.holds
+    assert peak < 4 * 2**20  # one (P+1)^2 float array alone is 800 MB
+
+
 def test_quotient_ratio_bound_qgevrey():
     v = an.check_property(sc.qgevrey(2), "quotient-ratio-bound")
     assert v.holds
@@ -55,6 +113,47 @@ def test_gamma1_fixtures():
     assert an.check_property(sc.gevrey(1), "gamma1").fails
     assert an.check_property(sc.gevrey(0.5), "gamma1").fails
     assert an.check_property(sc.qgevrey(2), "gamma1").holds
+
+
+def _floats(obj):
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, (list, tuple)):
+        for x in obj:
+            yield from _floats(x)
+    elif isinstance(obj, float):
+        yield obj
+
+
+@pytest.mark.parametrize("q", [1.2, 2.5, 3.0])
+def test_qgevrey_past_float_range_sound(q):
+    # mu_p passes 1e308 inside the window: no warning, and only an
+    # inconclusive verdict may carry a non-finite witness
+    M = sc.qgevrey(q, P=2048)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        verdicts = {prop: an.check_property(M, prop) for prop in an.PROPERTY_NAMES}
+    for prop, v in verdicts.items():
+        if v.status != "inconclusive":
+            assert all(math.isfinite(x) for x in _floats(v.witness)), prop
+    g = verdicts["gamma1"]
+    assert g.status == "inconclusive"
+    assert g.notes == "holds withdrawn: non-finite witness"
+
+
+def test_non_finite_witness_withdrawn(monkeypatch):
+    witnesses = [{"x": float("nan")}, {"pairs": {"a": [1.0, float("inf")]}},
+                 {"range": (0.0, -float("inf"))}, {"x": np.float64("nan")}]
+    for status in ("holds", "fails"):
+        for w in witnesses:
+            monkeypatch.setitem(an._CHECKS, "fake",
+                                lambda M, tol, w=w: an.Verdict(status, w, (1, 8), "why"))
+            v = an.check_property(sc.gevrey(1), "fake")
+            assert v.status == "inconclusive" and v.witness == w
+            assert v.notes == f"{status} withdrawn: non-finite witness; why"
+    ok = an.Verdict("holds", {"C": 2.0, "tested": [1, "a", True]}, (1, 8))
+    monkeypatch.setitem(an._CHECKS, "fake", lambda M, tol: ok)
+    assert an.check_property(sc.gevrey(1), "fake") is ok
 
 
 def test_beta_conditions():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -27,6 +28,31 @@ def test_analyze_qgevrey2(tmp_path):
     assert doc["properties"]["mg"]["status"] == "fails"
     assert doc["properties"]["quotient-ratio-bound"]["status"] == "holds"
     assert doc["indices"]["quotients_upper"]["unbounded_flag"] is True
+
+
+def _perturbed_file(path):
+    rng = np.random.default_rng(2048)
+    logM = sc.gevrey(0.9, P=2048).logM.copy()
+    logM[1:] += 0.02 * rng.uniform(size=2048)
+    doc = {"name": "perturbed-gevrey-0.9", "P": 2048,
+           "family": {"type": "custom", "params": {}},
+           "logM": [float(x) for x in logM], "provenance": "custom"}
+    path.write_text(json.dumps(doc))
+    return f"file:{path}"
+
+
+# md5 of the analyze reports recorded with the (P+1)^2 all-pairs window
+# constant of mg; the linear-memory scan must reproduce their bytes
+@pytest.mark.parametrize("spec,md5", [
+    ("gevrey:1.5 --P 2048", "dffcd55c7bcb84e4d945bd43c0557a04"),
+    ("qgevrey:2", "b1501cf718cf564ff1cefddd1c877361"),
+    ("perturbed", "40b9f496b905813b54e43aa359ce0371"),
+])
+def test_analyze_reports_pinned(tmp_path, spec, md5):
+    args = [_perturbed_file(tmp_path / "in.json")] if spec == "perturbed" else spec.split()
+    out = tmp_path / "report.json"
+    assert run(["analyze", *args, "--out", str(out)]) == 0
+    assert hashlib.md5(out.read_bytes()).hexdigest() == md5
 
 
 def test_analyze_bad_file(tmp_path):
