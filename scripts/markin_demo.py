@@ -19,15 +19,7 @@ import sys
 
 import mpmath as mp
 
-from weightseq import gevrey, markin_bound
-from weightseq.operator_lab import (build_counterexample,
-                                    exponential_class_sum,
-                                    weighted_class_sum)
-from weightseq.weights import build_gauge
-
-T_EXP = (0.5, 1.0, 2.0, 5.0, 10.0)
-T_WEIGHTED = (1.0, 2.0)
-ALPHAS = tuple(round(0.1 * i, 1) for i in range(1, 10))
+from weightseq.operator_lab import T_WEIGHTED, ring_demonstration
 
 
 def main(argv=None):
@@ -39,11 +31,8 @@ def main(argv=None):
     ap.add_argument("--csv", default=None)
     args = ap.parse_args(argv)
 
-    members = [gevrey(a) for a in ALPHAS]
-    gauge = build_gauge(markin_bound(512), members)
-    floor, slope = (0.0, 0.0) if args.minimal_k else (11.0, 0.05)
-    model, vec = build_counterexample(gauge, n_terms=args.terms,
-                                      log_g_floor=floor, log_g_slope=slope)
+    demo = ring_demonstration(args.terms, minimal_k=args.minimal_k)
+    model, vec = demo.model, demo.vec
     print(f"rings: {args.terms}, ln k(n) in "
           f"[{model.logk[0]:.4g}, {model.logk[-1]:.4g}]")
     l2 = vec.l2_report()
@@ -51,20 +40,19 @@ def main(argv=None):
           f"(log sum {mp.nstr(l2['log_sum'], 6)})")
 
     print("\nexponential weights  e^(2t|lambda|):")
-    for t in T_EXP:
-        rep = exponential_class_sum(model, vec, t)
+    for t, rep in demo.exponential.items():
         print(f"  t = {t:5.1f}: {rep.certificate}")
 
     print("\nassociated weights of small Gevrey sequences:")
-    for member in members:
+    for name in dict.fromkeys(name for name, _ in demo.weighted):
         certs = []
         for t in T_WEIGHTED:
-            rep = weighted_class_sum(model, vec, member, t)
+            rep = demo.weighted[name, t]
             tag = rep.certificate
             if rep.diverged_from is not None:
                 tag += f" (terms >= 1 from n = {rep.diverged_from})"
             certs.append(f"t={t:g}: {tag}")
-        print(f"  {member.name:14s} {' | '.join(certs)}")
+        print(f"  {name:14s} {' | '.join(certs)}")
 
     if args.csv:
         with open(args.csv, "w", newline="") as fh:

@@ -293,28 +293,17 @@ def _c8():
 # ---------------------------------------------------------------------------
 
 def _c9(n_terms=120):
-    members = [seqcore.gevrey(round(0.1 * i, 1)) for i in range(1, 10)]
-    gauge = weights.build_gauge(weights.markin_bound(512), members)
-    # the gauge threshold may be taken with overshoot: any k(n) with
-    # g(k(n)) >= n is admissible, and the finite-term convergence
-    # certificates need ln g above the tested exponential rates
-    model, vec = operator_lab.build_counterexample(
-        gauge, n_terms=n_terms, log_g_floor=11.0, log_g_slope=0.05)
+    demo = operator_lab.ring_demonstration(n_terms)
     details = {"n_terms": n_terms, "exp": {}, "weighted": {}}
-    ok = True
-    for t in (0.5, 1.0, 2.0, 5.0, 10.0):
-        cert = operator_lab.exponential_class_sum(model, vec, t).certificate
-        details["exp"][f"t={t:g}"] = cert
-        ok = ok and cert == "converged"
-    for member in members:
-        for t in (1.0, 2.0):
-            rep = operator_lab.weighted_class_sum(model, vec, member, t)
-            details["weighted"][f"{member.name}, t={t:g}"] = (
-                rep.certificate, rep.diverged_from)
-            ok = ok and rep.certificate == "diverged"
-    l2 = vec.l2_report()
-    details["l2_summable"] = l2["summable"]
-    ok = ok and l2["summable"]
+    for t, rep in demo.exponential.items():
+        details["exp"][f"t={t:g}"] = rep.certificate
+    for (name, t), rep in demo.weighted.items():
+        details["weighted"][f"{name}, t={t:g}"] = (rep.certificate,
+                                                    rep.diverged_from)
+    details["l2_summable"] = demo.vec.l2_report()["summable"]
+    ok = (all(r.certificate == "converged" for r in demo.exponential.values())
+          and all(r.certificate == "diverged" for r in demo.weighted.values())
+          and details["l2_summable"])
     return ok, details
 
 

@@ -26,13 +26,25 @@ import numpy as np
 
 from .errors import (InvalidSequenceError, PreconditionError,
                      UntrustedEvaluationError)
-from .seqcore import ClosedForm, WeightSequence
-from .weights import GrowthGauge, _bracket_bisect, omega, omega_mp, valid_to
+from .seqcore import ClosedForm, WeightSequence, gevrey
+from .weights import (GrowthGauge, _bracket_bisect, _require_finite,
+                      build_gauge, markin_bound, omega, omega_mp, valid_to)
 
 MP_DPS = 50
 INTEGER_EXACT_LIMIT = 2.0**53
 # the threshold search for ln k(n) gives up past this
 COUNTEREXAMPLE_SEARCH_CAP = 1e16
+
+# the ring demonstration: members gevrey(0.1) .. gevrey(0.9), the Markin
+# bound at P = 512, and the t grids of the two spectral sums
+RING_ORDERS = tuple(round(0.1 * i, 1) for i in range(1, 10))
+RING_BOUND_P = 512
+T_EXP = (0.5, 1.0, 2.0, 5.0, 10.0)
+T_WEIGHTED = (1.0, 2.0)
+# the gauge threshold may be taken with overshoot: any k(n) with
+# g(k(n)) >= n is admissible, and the finite-term convergence
+# certificates need ln g above the tested exponential rates
+RING_LOG_G_FLOOR_SLOPE = (11.0, 0.05)
 
 
 @dataclass(frozen=True)
@@ -97,12 +109,15 @@ def _lse(logs) -> mp.mpf:
 
 
 def from_floats(lambdas, coeff_logs) -> tuple:
-    """Desk-scale model from plain eigenvalues and ln|c_n| floats."""
+    """Desk-scale model from plain eigenvalues and ln|c_n| (-inf: c_n = 0)."""
     lam = np.asarray(lambdas, dtype=float)
-    if np.any(lam <= 0) or not np.all(np.diff(lam) > 0):
-        raise InvalidSequenceError("eigenvalues must be positive and increasing")
+    if not (np.all(np.isfinite(lam) & (lam > 0)) and np.all(np.diff(lam) > 0)):
+        raise InvalidSequenceError("eigenvalues must be finite, positive and increasing")
+    logc = np.asarray(coeff_logs, dtype=float)
+    if not np.all(logc < np.inf):  # NaN and +inf
+        raise InvalidSequenceError("coefficient logs must be finite or -inf")
     model = DiagonalOperatorModel(loglam=np.log(lam))
-    vec = SpectralVector(tuple(mp.mpf(float(v)) for v in coeff_logs))
+    vec = SpectralVector(tuple(mp.mpf(float(v)) for v in logc))
     if vec.n_terms != model.n_terms:
         raise InvalidSequenceError("coefficient count differs from eigenvalue count")
     return model, vec
@@ -128,6 +143,8 @@ def build_counterexample(gauge: GrowthGauge, n_terms: int = 120,
             "counterexample needs a gauge with certified a_k^(1/k) decay")
     if n_terms < 1 or n_terms > 200:
         raise InvalidSequenceError("n_terms must be in 1..200")
+    _require_finite("build_counterexample", log_g_floor, "log_g_floor")
+    _require_finite("build_counterexample", log_g_slope, "log_g_slope")
     logk = np.empty(n_terms)
     eps = np.empty(n_terms)
     lng = np.empty(n_terms)
@@ -227,6 +244,7 @@ def _certify(term_logs, t: float) -> SpectralSumReport:
 def exponential_class_sum(model: DiagonalOperatorModel, f: SpectralVector,
                           t: float) -> SpectralSumReport:
     """sum_n |c_n|^2 e^(2 t lambda_n) in log domain with a tail certificate."""
+    _require_finite("exponential_class_sum", t)
     if t < 0:
         raise InvalidSequenceError("t must be >= 0")
     if f.n_terms != model.n_terms:
@@ -247,6 +265,7 @@ def weighted_class_sum(model: DiagonalOperatorModel, f: SpectralVector,
     other sequences are accepted only while t*lambda_n stays inside their
     trusted range.
     """
+    _require_finite("weighted_class_sum", t)
     if t <= 0:
         raise InvalidSequenceError("t must be > 0")
     if f.n_terms != model.n_terms:
@@ -334,6 +353,8 @@ def bounded_solution_check(eigs, y0, t: float, n_max: int = 12,
     y0 = np.asarray(y0, dtype=complex)
     if lam.size != y0.size or lam.size == 0:
         raise InvalidSequenceError("eigenvalue/vector size mismatch")
+    if not (np.all(np.isfinite(lam)) and np.all(np.isfinite(y0)) and math.isfinite(t)):
+        raise InvalidSequenceError("eigenvalues, vector and t must be finite")
     yt = np.exp(lam * t) * y0
     worst = 0.0
     v = yt.copy()
@@ -361,46 +382,28 @@ def bounded_solution_check(eigs, y0, t: float, n_max: int = 12,
 
 
 # ---------------------------------------------------------------------------
-# scenario runner (JSON config in, report rows out)
+# the ring demonstration
 # ---------------------------------------------------------------------------
 
-def run_scenario(config: dict) -> dict:
-    """Execute a ring-construction scenario described by a config dict.
+@dataclass(frozen=True)
+class RingDemonstration:
+    """Ring counterexample with its sums: ``exponential`` by t, ``weighted``
+    by (member name, t), members outer and t inner as the reports list them."""
 
-    Keys: gauge {type: markin, P}, n_terms, log_g_floor, log_g_slope,
-    t_grid (exponential sums), members (sequence specs for weighted sums),
-    member_t_grid.
-    """
-    from .seqcore import make_family
-    from .weights import build_gauge, markin_bound
+    model: DiagonalOperatorModel
+    vec: SpectralVector
+    exponential: dict
+    weighted: dict
 
-    gspec = config.get("gauge", {"type": "markin", "P": 512})
-    if gspec.get("type") != "markin":
-        raise InvalidSequenceError(f"unknown gauge type {gspec.get('type')!r}")
-    member_names = config.get("members", [])
-    members = [make_family(s) for s in member_names]
-    gauge = build_gauge(markin_bound(int(gspec.get("P", 512))), members)
-    model, vec = build_counterexample(
-        gauge,
-        n_terms=int(config.get("n_terms", 120)),
-        log_g_floor=float(config.get("log_g_floor", 0.0)),
-        log_g_slope=float(config.get("log_g_slope", 0.0)))
-    out = {"n_terms": model.n_terms,
-           "l2": {k: str(v) for k, v in vec.l2_report().items()},
-           "exponential": {}, "weighted": {}}
-    with mp.workdps(MP_DPS):
-        for t in config.get("t_grid", [1.0]):
-            rep = exponential_class_sum(model, vec, float(t))
-            out["exponential"][f"{t:g}"] = rep.certificate
-        for spec, member in zip(member_names, members):
-            per = {}
-            for t in config.get("member_t_grid", [1.0]):
-                per[f"{t:g}"] = weighted_class_sum(model, vec, member,
-                                                   float(t)).certificate
-            out["weighted"][spec] = per
-    rows = [("n", "log_k", "eps", "log_g", "log_c")]
-    for i in range(model.n_terms):
-        rows.append((i + 1, float(model.logk[i]), float(model.eps[i]),
-                     float(model.log_g_at_k[i]), mp.nstr(vec.logc[i], 8)))
-    out["rows"] = rows
-    return out
+
+def ring_demonstration(n_terms: int, minimal_k: bool = False) -> RingDemonstration:
+    """Rings on the Markin-bound gauge of the members, summed over T_EXP and
+    T_WEIGHTED; ``minimal_k`` drops the overshoot for g(k(n)) >= n exactly."""
+    members = [gevrey(a) for a in RING_ORDERS]
+    gauge = build_gauge(markin_bound(RING_BOUND_P), members)
+    floor, slope = (0.0, 0.0) if minimal_k else RING_LOG_G_FLOOR_SLOPE
+    model, vec = build_counterexample(gauge, n_terms, floor, slope)
+    exponential = {t: exponential_class_sum(model, vec, t) for t in T_EXP}
+    weighted = {(M.name, t): weighted_class_sum(model, vec, M, t)
+                for M in members for t in T_WEIGHTED}
+    return RingDemonstration(model, vec, exponential, weighted)

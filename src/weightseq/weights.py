@@ -16,6 +16,7 @@ still diverges for every sequence N whose little-m is dominated by a.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
 from dataclasses import dataclass
@@ -39,11 +40,13 @@ SERIES_RELATIVE_CUTOFF = 1e-16
 OMEGA_MP_U_START = 8.0
 # steps of the argument down by one unit of precision before bisecting
 OMEGA_MP_STEP_DOWNS = 4
+# digits omega_mp keeps after its cancellation: a float's 15 plus a guard
+OMEGA_MP_DIGITS = 18
 
 
-def _require_finite(fn: str, t: float) -> None:
+def _require_finite(fn: str, t: float, name: str = "t") -> None:
     if not math.isfinite(t):
-        raise InvalidSequenceError(f"{fn}: t must be finite, got {t}")
+        raise InvalidSequenceError(f"{fn}: {name} must be finite, got {t}")
 
 
 # ---------------------------------------------------------------------------
@@ -235,27 +238,37 @@ def omega_mp(M: WeightSequence, log_t):
     still unresolved, goes to the bisection on ln p.  The closed-form
     quotients are used directly: a loggamma difference at p ~ exp(1000)
     would cancel catastrophically at any workable precision.
+
+    The term p ln t - ln M_p cancels about log10(ln p*) <= log10(ln t / a)
+    digits; the call raises the working precision to OMEGA_MP_DIGITS plus
+    that where it is lower.
+    ln t = -inf (t = 0) gives 0; NaN and +inf are refused.
     """
     import mpmath as mp
 
+    if log_t != -math.inf:
+        _require_finite("omega_mp", log_t, "ln t")
     form = M.generator
     if not isinstance(form, ClosedForm):
         raise UntrustedEvaluationError(
             f"omega_mp: {M.name} has no closed-form generator")
     if not is_log_convex(M):
         raise PreconditionError(f"omega_mp: {M.name} is not log-convex")
-    logt = mp.mpf(log_t)
-
-    if form.log_mu_mp(1) > logt:
+    if form.log_mu_mp(1) > log_t:
         return mp.mpf(0)
-    for k in range(OMEGA_MP_STEP_DOWNS + 1):
-        p_hat = form.inverse_mu_mp(logt * (1 - k * mp.eps))
-        if p_hat is None:
-            break
-        best = _step_term(form, logt, p_hat)
-        if best is not None:
-            return best
-    return _omega_mp_bisect(M, logt)
+    a = form.a if form.a > 0 else 1.0  # a <= 0: ln p* ~ ln ln t, well covered
+    dps = OMEGA_MP_DIGITS + math.ceil(math.log10(abs(float(log_t)) + a)
+                                      - math.log10(a))
+    with mp.workdps(dps) if mp.mp.dps < dps else contextlib.nullcontext():
+        logt = mp.mpf(log_t)
+        for k in range(OMEGA_MP_STEP_DOWNS + 1):
+            p_hat = form.inverse_mu_mp(logt * (1 - k * mp.eps))
+            if p_hat is None:
+                break
+            best = _step_term(form, logt, p_hat)
+            if best is not None:
+                return best
+        return _omega_mp_bisect(M, logt)
 
 
 def valid_to(M: WeightSequence) -> float:

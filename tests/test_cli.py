@@ -126,6 +126,13 @@ def test_verify_markin_small(capsys):
     assert "[PASS] criterion 9" in text and "[PASS] criterion 10" in text
 
 
+def test_verify_markin_report_pinned(tmp_path):
+    # recorded before criterion 9 moved onto operator_lab.ring_demonstration
+    out = tmp_path / "markin.json"
+    run(["verify", "markin", "--seed", "0", "--terms", "40", "--out", str(out)])
+    assert hashlib.md5(out.read_bytes()).hexdigest() == "162475d9a9fdfd360a02da0561909926"
+
+
 def test_verify_unknown_suite():
     assert run(["verify", "nonsense"]) == 1
 

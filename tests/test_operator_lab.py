@@ -94,17 +94,6 @@ def test_weighted_sum_divergence(minimal_model):
         ol.weighted_class_sum(model, vec, sc.gevrey(0.5), 0.0)
 
 
-def test_floored_construction_full_grid(gauge):
-    model, vec = ol.build_counterexample(gauge, n_terms=40, log_g_floor=11.0,
-                                         log_g_slope=0.05)
-    for t in (0.5, 2.0, 10.0):
-        assert ol.exponential_class_sum(model, vec, t).certificate == "converged"
-    for a in (0.1, 0.9):
-        rep = ol.weighted_class_sum(model, vec, sc.gevrey(a), 2.0)
-        assert rep.certificate == "diverged" and rep.diverged_from == 1
-    assert vec.l2_report()["summable"]
-
-
 def test_scaling_leaves_verdicts(minimal_model):
     model, vec = minimal_model
     scaled = vec.scaled(123.5)
@@ -194,18 +183,73 @@ def test_bounded_solution_random_diag():
 
 
 # ---------------------------------------------------------------------------
-# scenario runner
+# the ring demonstration
 # ---------------------------------------------------------------------------
 
-def test_run_scenario_smoke():
-    out = ol.run_scenario({
-        "gauge": {"type": "markin", "P": 256},
-        "n_terms": 20, "log_g_floor": 4.0,
-        "t_grid": [0.5, 1.0, 2.0],
-        "members": ["gevrey:0.5"], "member_t_grid": [1.0]})
-    assert set(out["exponential"].values()) == {"converged"}
-    assert out["weighted"]["gevrey:0.5"]["1"] == "diverged"
-    assert out["rows"][0] == ("n", "log_k", "eps", "log_g", "log_c")
-    assert len(out["rows"]) == 21
+@pytest.mark.parametrize("minimal_k, n_terms", [(False, 40), (True, 12)])
+def test_ring_demonstration(minimal_k, n_terms):
+    demo = ol.ring_demonstration(n_terms, minimal_k=minimal_k)
+    model, lng = demo.model, demo.model.log_g_at_k
+    assert model.n_terms == n_terms
+    assert list(demo.exponential) == list(ol.T_EXP)
+    # members outer, t inner: the order the verify report lists them in
+    assert list(demo.weighted) == [(f"gevrey({a:g})", t)
+                                   for a in ol.RING_ORDERS
+                                   for t in ol.T_WEIGHTED]
+    assert all(rep.certificate == "diverged" and rep.diverged_from == 1
+               for rep in demo.weighted.values())
+    assert demo.vec.l2_report()["summable"]
+    assert np.all(lng >= np.log(np.arange(1, n_terms + 1)) - 1e-9)
+    if minimal_k:
+        # threshold-exact rings: ln g(k(n)) ends at ln n, and only the
+        # rates below it converge
+        assert lng[-1] == pytest.approx(math.log(n_terms), abs=1e-9)
+        for t, rep in demo.exponential.items():
+            assert rep.certificate == ("converged" if t < lng[-1] else "diverged")
+    else:
+        assert lng[0] >= ol.RING_LOG_G_FLOOR_SLOPE[0]
+        assert all(rep.certificate == "converged"
+                   for rep in demo.exponential.values())
+
+
+# ---------------------------------------------------------------------------
+# non-finite arguments
+# ---------------------------------------------------------------------------
+
+NON_FINITE_CALLS = {
+    "omega_mp nan": lambda m, v, g: wt.omega_mp(sc.gevrey(0.5), math.nan),
+    "omega_mp inf": lambda m, v, g: wt.omega_mp(sc.gevrey(0.5), math.inf),
+    "weighted nan": lambda m, v, g: ol.weighted_class_sum(
+        m, v, sc.gevrey(0.5), math.nan),
+    "weighted inf": lambda m, v, g: ol.weighted_class_sum(
+        m, v, sc.gevrey(0.5), math.inf),
+    "membership nan": lambda m, v, g: ol.membership_verdict(
+        m, v, sc.gevrey(0.5), "roumieu", [math.nan]),
+    "exponential nan": lambda m, v, g: ol.exponential_class_sum(m, v, math.nan),
+    "exponential inf": lambda m, v, g: ol.exponential_class_sum(m, v, math.inf),
+    "floor inf": lambda m, v, g: ol.build_counterexample(
+        g, n_terms=3, log_g_floor=math.inf),
+    "floor nan": lambda m, v, g: ol.build_counterexample(
+        g, n_terms=3, log_g_floor=math.nan),
+    "slope nan": lambda m, v, g: ol.build_counterexample(
+        g, n_terms=3, log_g_slope=math.nan),
+    "coefficient nan": lambda m, v, g: ol.from_floats([1.0, 2.0], [-1.0, math.nan]),
+    "coefficient +inf": lambda m, v, g: ol.from_floats([1.0, 2.0], [math.inf, -1.0]),
+    "eigenvalue nan": lambda m, v, g: ol.from_floats([1.0, math.nan], [-1.0, -2.0]),
+    "bounded eigenvalue nan": lambda m, v, g: ol.bounded_solution_check(
+        [1.0, math.nan], [1.0, 1.0], 0.0),
+    "bounded t inf": lambda m, v, g: ol.bounded_solution_check(
+        [1.0, 2.0], [1.0, 1.0], math.inf),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE_CALLS))
+def test_non_finite_arguments_rejected(case, gauge, minimal_model):
     with pytest.raises(InvalidSequenceError):
-        ol.run_scenario({"gauge": {"type": "wavelet"}})
+        NON_FINITE_CALLS[case](*minimal_model, gauge)
+
+
+def test_omega_mp_at_zero_argument():
+    # ln t = -inf is t = 0; -inf coefficient logs are covered by
+    # test_membership_finite_support_always_holds
+    assert wt.omega_mp(sc.gevrey(0.5), -math.inf) == 0

@@ -1,5 +1,6 @@
 """One in-process smoke test per script under scripts/."""
 
+import hashlib
 import importlib.util
 import pathlib
 
@@ -30,6 +31,23 @@ def test_markin_demo(tmp_path, capsys):
     assert "gevrey(0.9)" in text and "diverged" in text
     rows = out.read_text().splitlines()
     assert rows[0] == "n,log_k,eps,log_g,log_c" and len(rows) == 9
+
+
+# md5 of the demo's stdout and CSV, recorded before the demonstration moved
+# into operator_lab.ring_demonstration
+@pytest.mark.parametrize("flags, md5", [
+    ([], "16a8b0b9cd271e12dfd5f1b72421fb6f"),
+    (["--minimal-k"], "06318c618af977a5e5227d71d1791f83"),
+])
+def test_markin_demo_stdout_pinned(capsys, flags, md5):
+    assert load("markin_demo").main(["--terms", "30", *flags]) == 0
+    assert hashlib.md5(capsys.readouterr().out.encode()).hexdigest() == md5
+
+
+def test_markin_demo_csv_pinned(tmp_path):
+    out = tmp_path / "rings.csv"
+    assert load("markin_demo").main(["--terms", "30", "--csv", str(out)]) == 0
+    assert hashlib.md5(out.read_bytes()).hexdigest() == "000c92bbbe28252cbef84162e2733447"
 
 
 def test_omega_profile(tmp_path, capsys):

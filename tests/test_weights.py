@@ -206,6 +206,20 @@ def test_omega_mp_mpmath_call_count(monkeypatch):
     assert counts["exp"] < 20 and counts["log"] < 20
 
 
+@pytest.mark.parametrize("spec", ["gevrey:0.1", "gevrey:0.5", "qgevrey:2"])
+def test_omega_mp_keeps_its_digits_at_15(spec):
+    # q ln t - ln M_q cancels about log10(ln p*) digits (16 for gevrey(0.1)
+    # at ln t = 1e15); the call raises its own precision to keep them
+    import mpmath as mp
+    M = sc.make_family(spec)
+    for log_t in (50.0, 1e10, 1e15):
+        with mp.workdps(15):
+            low = wt.omega_mp(M, log_t)
+        with mp.workdps(60):
+            ref = wt.omega_mp(M, log_t)
+            assert abs(low - ref) <= mp.mpf("1e-12") * ref
+
+
 @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("fn", [wt.omega, wt.counting, wt.omega_extended,
                                 wt.integral_representation_residual])
