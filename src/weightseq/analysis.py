@@ -75,6 +75,13 @@ def _nondecreasing(x: np.ndarray, tol: float = 1e-12) -> bool:
     return bool(np.all(np.diff(x) >= -tol))
 
 
+def _trend_tol(M, tol: float) -> float:
+    """tol, raised to 8 ulp of the window's largest |ln M_p|: the rounding
+    of quotients taken as differences of ln M_p (~3e6 for q-Gevrey
+    windows at P = 2048) is above the absolute tolerances."""
+    return max(tol, 8.0 * np.finfo(float).eps * float(np.abs(M.logM).max()))
+
+
 def _block_minima_nondecreasing(x: np.ndarray, n_blocks: int = 6,
                                 tol: float = 1e-9) -> bool:
     """Envelope trend for noisy statistics (integer-valued quotients carry
@@ -146,6 +153,7 @@ def _check_mg(M, tol=1e-12):
     and a convexly growing tail refutes.
     """
     logM = M.logM
+    tol9, tol12 = _trend_tol(M, 1e-9), _trend_tol(M, 1e-12)
     log_C = _log_window_constant(logM)
     dia = np.arange(1, M.P // 2 + 1)
     d_p = (logM[2 * dia] - 2 * logM[dia]) / (2 * dia + 1.0)
@@ -153,13 +161,13 @@ def _check_mg(M, tol=1e-12):
         logmu = quotients(M).logmu
         m_p = logmu[2 * dia] - logmu[dia]
         tail = _tail(m_p)
-        if _nonincreasing(tail, 1e-9):
+        if _nonincreasing(tail, tol9):
             return Verdict("holds", {"C": _exp_reported(log_C),
                                      "doubling_tail": float(tail[-1])},
                            (1, M.P), "quotient-doubling statistic stable")
         inc = np.diff(tail)
-        if np.all(inc >= -1e-12) and tail[-1] > tail[0] + 0.5 and \
-                np.all(np.diff(inc) >= -1e-9):
+        if np.all(inc >= -tol12) and tail[-1] > tail[0] + 0.5 and \
+                np.all(np.diff(inc) >= -tol9):
             p_wit = int(dia[-1])
             return Verdict("fails",
                            {"p": p_wit, "q": p_wit,
@@ -168,7 +176,7 @@ def _check_mg(M, tol=1e-12):
                            (1, M.P),
                            "pair statistic grows linearly along the diagonal")
     tail_d = _tail(d_p)
-    if _nonincreasing(tail_d, 1e-9) or int(np.argmax(d_p)) <= len(d_p) // 2:
+    if _nonincreasing(tail_d, tol9) or int(np.argmax(d_p)) <= len(d_p) // 2:
         return Verdict("holds", {"C": _exp_reported(log_C)}, (1, M.P),
                        "pair statistic stable")
     return Verdict("inconclusive", {"C_window": _exp_reported(log_C)}, (1, M.P),
@@ -198,11 +206,12 @@ def _check_quotient_ratio_bound(M, tol=1e-12):
     if steps.size == 0:
         return Verdict("inconclusive", {}, (1, M.P))
     A_w = float(np.exp(min(steps.max(), 700.0)))
+    tol9, tol12 = _trend_tol(M, 1e-9), _trend_tol(M, 1e-12)
     if int(np.argmax(steps)) <= 3 * len(steps) // 4 or \
-            _nonincreasing(_tail(steps), 1e-9):
+            _nonincreasing(_tail(steps), tol9):
         return Verdict("holds", {"A": A_w}, (1, M.P))
     inc = np.diff(_tail(steps))
-    if np.all(inc >= -1e-12) and inc[-1] > 1e-9:
+    if np.all(inc >= -tol12) and inc[-1] > tol9:
         return Verdict("fails", {"p": M.P, "step": float(steps[-1])}, (1, M.P))
     return Verdict("inconclusive", {"A_window": A_w}, (1, M.P))
 

@@ -50,7 +50,9 @@ def _counting_all(nu_values: np.ndarray, targets: np.ndarray) -> np.ndarray:
     domain with last-bit noise, so values within relative 1e-9 of an
     integer are snapped before comparing against the integer targets.
     """
-    with np.errstate(over="ignore"):
+    # an infinite quotient exceeds every count: its inf - inf is NaN, which
+    # fails the snap test and keeps the inf
+    with np.errstate(over="ignore", invalid="ignore"):
         nearest = np.rint(nu_values)
         snapped = np.where(
             np.abs(nu_values - nearest) <= 1e-9 * np.maximum(1.0, np.abs(nearest)),
@@ -72,7 +74,10 @@ def dual(N: WeightSequence, P_out: int | None = None) -> WeightSequence:
         raise PreconditionError(
             f"dual: {N.name} is not normalized with diverging quotients on its window")
     lognu = quotients(N).logmu
-    nu = np.exp(lognu[1:])  # nu_1..nu_P, non-decreasing
+    # nu_1..nu_P, non-decreasing; a quotient past float range is inf, which
+    # exceeds every count, as it should
+    with np.errstate(over="ignore"):
+        nu = np.exp(lognu[1:])
     nu_max = nu[-1]
     # counts Sigma_N(p) are uncensored only for p <= nu_P
     hard_cap = int(min(nu_max, 2**62)) if math.isfinite(nu_max) else 2**62

@@ -20,7 +20,7 @@ import contextlib
 import csv
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy.special import gammaln
@@ -403,40 +403,47 @@ def counting_scaling_residual(M: WeightSequence, k: int, beta: float,
 # growth gauge
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class LogPowerBound:
+    """ln a_j = -j ln ln j for j >= 2 and ln a_0 = ln a_1 = 0.
+
+    ``rate(u)`` is (1/k) ln a_k at u = ln k, which is -ln u; the growth
+    gauge reads it to evaluate at astronomically large arguments.
+    """
+
+    def __call__(self, p):
+        """ln a_j in float for a scalar or an array of indices."""
+        p = np.asarray(p, dtype=float)
+        return np.where(p >= 2, -p * np.log(np.log(np.maximum(p, 2.0))), 0.0)
+
+    def rate(self, u: float) -> float:
+        return -math.log(u)
+
+
 def markin_bound(P: int = 512) -> WeightSequence:
     """The bound a_j = 1/ln(j)^j for j >= 2, a_0 = a_1 = 1.
 
     Dominates the little-m of every small Gevrey sequence; its roots
     a_j^(1/j) = 1/ln(j) decay to zero slower than any power.
     """
-    def gen(p):
-        p = np.asarray(p, dtype=float)
-        return np.where(p >= 2, -p * np.log(np.log(np.maximum(p, 2.0))), 0.0)
-
+    gen = LogPowerBound()
     return WeightSequence("markin-bound", gen(np.arange(P + 1)), gen,
                           provenance="builtin:markin-bound")
 
 
-def _markin_rate(u: float) -> float:
-    # log_a(k)/k = -ln ln k = -ln u  at u = ln k
-    return -math.log(u)
-
-
-@dataclass
+@dataclass(frozen=True)
 class GrowthGauge:
     """The triple (h, f, g) built from a bound sequence a.
 
     h(t) = log sum_k (t/2)^k/(a_k k!); f(t) = h(t/2)/t; g = sqrt(f).
     ``D_map`` records, per member sequence N, the window constant D with
-    n_j <= D a_j.  ``a_rate`` (optional) gives log_a(k)/k as a function of
-    ln k and unlocks evaluation at astronomically large arguments.
+    n_j <= D a_j.  A bound whose generator carries a rate (a
+    ``LogPowerBound``) can be evaluated at astronomically large arguments.
     """
 
     a: WeightSequence
     D_map: dict
     decay_certified: bool
-    a_rate: Optional[Callable[[float], float]] = None
-    t0: Optional[float] = None  # past this sampled point g was non-decreasing
 
     # -- h ------------------------------------------------------------------
     def _log_a(self, ks: np.ndarray) -> np.ndarray:
@@ -451,6 +458,7 @@ class GrowthGauge:
 
     def h(self, t: float) -> float:
         """Direct log-sum-exp evaluation of the series."""
+        _require_finite("h", t)
         if t <= 0:
             raise InvalidSequenceError("h: t must be > 0")
         logt2 = math.log(t / 2.0)
@@ -473,10 +481,33 @@ class GrowthGauge:
             f"h: series not decayed by k={k_cap} at t={t:g}; "
             "enlarge the bound window or use log_h")
 
+    def _astronomic_peak(self, x: float) -> float:
+        """max of v + ln(1 - v - r(x + v)) over v = ln k - x, r the rate.
+
+        Past float range ln h(t) = x + this maximum at x = ln(t/2): the
+        k-th series term over k is x - r(ln k) - (ln k - 1) + O(ln k / k).
+        Offset coordinates keep the maximum free of the rounding of x.
+        """
+        if not isinstance(self.a.generator, LogPowerBound):
+            raise CensoredWindowError(
+                f"gauge: {self.a.name} carries no rate function, needed at x = {x:g}")
+        rate = self.a.generator.rate
+
+        def wv(v):
+            psi = 1.0 - v - rate(x + v)
+            if psi <= 0:
+                return -math.inf
+            return v + math.log(psi)
+
+        # the peak sits near v = ln(x + v) + 1; leave generous headroom
+        v_hi = 2.0 * math.log(max(x, 10.0)) + 50.0
+        return wv(_ternary_max(wv, -5.0, v_hi, 120))
+
     def log_h(self, log_t: float) -> float:
         """ln h(t) for ln t possibly far beyond float range of t itself."""
         if log_t < 12.0:  # peak index ~< 1e6: direct summation
             return math.log(max(self.h(math.exp(log_t)), 1e-300))
+        _require_finite("log_h", log_t, "ln t")
         x = log_t - LN2  # = ln(t/2)
         if self.a.generator is not None and log_t < 600.0:
             # float-range Laplace: maximize phi(k) over ln k
@@ -492,19 +523,7 @@ class GrowthGauge:
             u_star = _ternary_max(phi, 0.0, u_hi, 90)
             h_val = phi(u_star) + 0.5 * (math.log(2 * math.pi) + u_star)
             return math.log(max(h_val, 1e-300))
-        if self.a_rate is None:
-            raise CensoredWindowError(
-                "log_h: argument beyond float range and no rate function for a")
-        # astronomic range: phi(k)/k = x - rate(ln k) - lgamma(k+1)/k, the
-        # latter = ln k - 1 + O(ln k / k); maximize w(u) = u + ln(phi/k)
-        def w(u):
-            psi = x - self.a_rate(u) - (u - 1.0)
-            if psi <= 0:
-                return -math.inf
-            return u + math.log(psi)
-        # peak sits near u* = x - rate(u*) + 1; leave generous headroom
-        u_hi = x + 2.0 * math.log(max(x, 10.0)) + 50.0
-        return w(_ternary_max(w, 2.0, u_hi, 140))
+        return x + self._astronomic_peak(x)
 
     # -- f, g ----------------------------------------------------------------
     def f(self, t: float) -> float:
@@ -516,23 +535,14 @@ class GrowthGauge:
     def log_g(self, log_t: float) -> float:
         """ln g(t) from ln t; valid at astronomically large arguments.
 
-        Beyond float range the difference ln h(t/2) - ln t is formed in
-        offset coordinates v = ln k - x (x = ln(t/4)): subtracting two
-        ~1e15 floats directly would quantize the result at their ULP.
+        Beyond float range ln h(t/2) - ln t is the astronomic peak minus
+        ln 4, so no two ~1e15 floats are subtracted (that would quantize
+        the result at their ULP).
         """
-        if log_t - LN2 < 600.0 or self.a_rate is None:
+        if log_t - LN2 < 600.0:
             return 0.5 * (self.log_h(log_t - LN2) - log_t)
-        x = log_t - 2.0 * LN2  # ln of the series argument t/4
-
-        def wv(v):
-            psi = 1.0 - v - self.a_rate(x + v)
-            if psi <= 0:
-                return -math.inf
-            return v + math.log(psi)
-
-        v_hi = 2.0 * math.log(max(x, 10.0)) + 50.0
-        W = wv(_ternary_max(wv, -5.0, v_hi, 120))
-        return 0.5 * (W - 2.0 * LN2)
+        _require_finite("log_g", log_t, "ln t")
+        return 0.5 * (self._astronomic_peak(log_t - 2.0 * LN2) - 2.0 * LN2)
 
     def dump_rows(self, k_max: int) -> list:
         ks = np.arange(k_max + 1)
@@ -588,8 +598,8 @@ def _member_bound_record(N: WeightSequence, a: WeightSequence) -> dict:
     return {"log_D": log_D, "argmax_j": peak_j, "certified": True}
 
 
-def build_gauge(a: WeightSequence, members: Sequence[WeightSequence] = (),
-                a_rate: Optional[Callable[[float], float]] = None) -> GrowthGauge:
+def build_gauge(a: WeightSequence,
+                members: Sequence[WeightSequence] = ()) -> GrowthGauge:
     """Assemble a GrowthGauge from a bound sequence and member sequences.
 
     For each member N a record with the bound constant ln D
@@ -603,22 +613,8 @@ def build_gauge(a: WeightSequence, members: Sequence[WeightSequence] = (),
     tail = roots[len(roots) // 2:]
     decay = bool(tail[-1] < -0.05 and tail[-1] <= tail[0] + 1e-12
                  and np.all(np.diff(tail) <= 1e-9))
-    if a_rate is None and a.provenance == "builtin:markin-bound":
-        a_rate = _markin_rate
     D_map = {N.name: _member_bound_record(N, a) for N in members}
-    gauge = GrowthGauge(a=a, D_map=D_map, decay_certified=decay, a_rate=a_rate)
-    # sampled monotonicity diagnostic for g
-    try:
-        grid = np.geomspace(4.0, 4096.0, 24)
-        vals = [gauge.g(float(t)) for t in grid]
-        t0 = grid[0]
-        for i in range(len(vals) - 1):
-            if vals[i + 1] < vals[i] - 1e-12:
-                t0 = grid[i + 1]
-        gauge.t0 = float(t0)
-    except CensoredWindowError:
-        gauge.t0 = None
-    return gauge
+    return GrowthGauge(a=a, D_map=D_map, decay_certified=decay)
 
 
 @dataclass(frozen=True)
@@ -632,6 +628,8 @@ class MarginReport:
 def divergence_margin(N: WeightSequence, gauge: GrowthGauge, s: float,
                       d: float, t_grid) -> MarginReport:
     """s*omega_N(t/2) - d*g(t)*t on a grid, with trend diagnostics."""
+    _require_finite("divergence_margin", s, "s")
+    _require_finite("divergence_margin", d, "d")
     if s <= 0 or d <= 0:
         raise InvalidSequenceError("divergence margin needs s, d > 0")
     grid = np.asarray(list(t_grid), dtype=float)

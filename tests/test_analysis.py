@@ -101,6 +101,17 @@ def test_quotient_ratio_bound_qgevrey():
     assert v.witness["A"] == pytest.approx(4.0, abs=1e-6)
 
 
+@pytest.mark.parametrize("P", [512, 1024, 2048, 4096])
+@pytest.mark.parametrize("q", [1.2, 1.5, 2.0, 2.5, 3.0, 5.0])
+def test_qgevrey_trend_verdicts_decided(q, P):
+    # ln M_p ~ p^2 ln q reaches ~1e7: the trend tolerances follow its
+    # rounding, so the doubling statistic 2p ln q refutes moderate growth
+    # and the constant step 2 ln q bounds the quotient ratio
+    M = sc.qgevrey(q, P=P)
+    assert an.check_property(M, "mg").fails
+    assert an.check_property(M, "quotient-ratio-bound").holds
+
+
 def test_dc_and_quotient_ratio_mg_chain():
     # window mg certificate implies the conjugate's dc-window certificate
     for M in (sc.gevrey(0.25), sc.gevrey(0.75), sc.gevrey(1)):

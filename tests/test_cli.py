@@ -133,6 +133,17 @@ def test_verify_markin_report_pinned(tmp_path):
     assert hashlib.md5(out.read_bytes()).hexdigest() == "162475d9a9fdfd360a02da0561909926"
 
 
+# md5 of `weightseq verify all --seed 0 --out ...` since the seed commit;
+# the same constant gates the benchmark's verify_all output check
+VERIFY_SEED0_MD5 = "bde513e13a58b24cc0a20aa11dd6c0ed"
+
+
+def test_verify_all_report_pinned(tmp_path):
+    out = tmp_path / "verify.json"
+    run(["verify", "all", "--seed", "0", "--out", str(out)])
+    assert hashlib.md5(out.read_bytes()).hexdigest() == VERIFY_SEED0_MD5
+
+
 def test_verify_unknown_suite():
     assert run(["verify", "nonsense"]) == 1
 

@@ -32,12 +32,12 @@ LOG_H_FLOAT = {
     250.0: "0x1.fdb1eeec16795p+7",
     599.0: "0x1.2e5b15e681026p+9",
 }
-# astronomic range, ln t >= 600, through the rate function
+# astronomic range, ln t >= 600: x + the offset-coordinate peak log_g uses
 LOG_H_ASTRO = {
-    600.0: "0x1.2edb4c22028d1p+9",
-    1e4: "0x1.38c424f4965aap+13",
+    600.0: "0x1.2edb4c22028d2p+9",
+    1e4: "0x1.38c424f4965abp+13",
     1e10: "0x1.2a05f20b2a960p+33",
-    1e15: "0x1.c6bf52634010dp+49",
+    1e15: "0x1.c6bf52634010ep+49",
 }
 # 600 still goes through log_h's float range; the rest use offset coordinates
 LOG_G = {

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -122,6 +123,15 @@ def test_dual_rejects_bad_input():
         tr.dual(sc.gevrey(0))  # quotients do not diverge
     with pytest.raises(CensoredWindowError):
         tr.dual(sc.gevrey(2, P=16), P_out=10_000)  # counts would censor
+
+
+def test_dual_past_float_range():
+    # mu_p of qgevrey(2) passes 1e308 inside the window: those quotients are
+    # inf and exceed every count, without a warning; the 200 000-entry
+    # window is the one recorded before the warnings were silenced
+    D = tr.dual(sc.qgevrey(2, P=600))
+    assert D.P == tr.DUAL_WINDOW_CAP
+    assert hashlib.md5(D.logM.tobytes()).hexdigest() == "8fabc670fe389b7b8a523a04beca7786"
 
 
 def test_dual_quotients_shrink_bidual_restores():

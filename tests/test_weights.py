@@ -298,6 +298,37 @@ def test_gauge_dump_rows():
     assert len(rows) == 17
 
 
+def test_gauge_on_window_only_bound_has_no_astronomic_range():
+    # the window of the Markin bound without its generator carries no rate
+    gauge = wt.build_gauge(sc.custom(wt.markin_bound(512).logM))
+    assert gauge.decay_certified
+    for fn in (gauge.log_h, gauge.log_g):
+        with pytest.raises(CensoredWindowError):
+            fn(1e4)
+
+
+@pytest.fixture(scope="module")
+def markin_gauge():
+    return wt.build_gauge(wt.markin_bound(512))
+
+
+GAUGE_CALLS = {
+    "h": lambda G, x: G.h(x),
+    "log_h": lambda G, x: G.log_h(x),
+    "log_g": lambda G, x: G.log_g(x),
+    "margin-s": lambda G, x: wt.divergence_margin(sc.gevrey(0.5), G, x, 1.0, [1e3]),
+    "margin-d": lambda G, x: wt.divergence_margin(sc.gevrey(0.5), G, 1.0, x, [1e3]),
+}
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("call", sorted(GAUGE_CALLS))
+def test_gauge_non_finite_arguments_rejected(markin_gauge, call, x):
+    # ln t = -inf is t = 0, which h refuses as before
+    with pytest.raises(InvalidSequenceError):
+        GAUGE_CALLS[call](markin_gauge, x)
+
+
 def test_divergence_margin():
     gauge = wt.build_gauge(wt.markin_bound(512), [sc.gevrey(0.5)])
     grid = np.geomspace(1e2, 1e5, 16)
