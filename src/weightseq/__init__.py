@@ -9,9 +9,9 @@ function classes, and diagonal-operator spectral sums.
 from .errors import (CensoredWindowError, InconclusiveTailError,
                      InvalidSequenceError, PreconditionError,
                      UntrustedEvaluationError, WeightSeqError)
-from .seqcore import (DEFAULT_P, ClosedForm, QuotientView, SequenceFamily,
-                      WeightSequence, custom, factorial_shift, from_quotients,
-                      gevrey, little_m, load_sequence, make_family, qgevrey,
+from .seqcore import (DEFAULT_P, ClosedForm, SequenceFamily, WeightSequence,
+                      custom, factorial_shift, from_quotients, gevrey,
+                      little_m, load_sequence, make_family, qgevrey,
                       quotients, root_sequence, save_sequence,
                       small_gevrey_family)
 from .transforms import (bidual, conjugate, dual, log_convex_minorant,

@@ -12,13 +12,14 @@ margin, or exact structure.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, asdict
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import InvalidSequenceError, PreconditionError, WeightSeqError
-from .seqcore import (QuotientView, SequenceFamily, WeightSequence,
+from .seqcore import (SequenceFamily, WeightSequence, _float_array,
                       is_log_convex, is_normalized, little_m, quotients)
 from .transforms import dual
 
@@ -95,10 +96,9 @@ def _block_minima_nondecreasing(x: np.ndarray, n_blocks: int = 6,
 # individual property checks
 # ---------------------------------------------------------------------------
 
-def _check_lc(M, tol=1e-12):
-    logmu = quotients(M).logmu
-    d = np.diff(logmu[1:])
-    bad = np.flatnonzero(d < -tol)
+def _check_lc(M):
+    d = np.diff(quotients(M)[1:])
+    bad = np.flatnonzero(d < -1e-12)
     if bad.size:
         p = int(bad[0] + 1)
         return Verdict("fails", {"p": p, "drop": float(d[bad[0]])}, (1, M.P),
@@ -106,16 +106,16 @@ def _check_lc(M, tol=1e-12):
     return Verdict("holds", {"min_step": float(d.min()) if d.size else 0.0}, (1, M.P))
 
 
-def _check_normalized(M, tol=1e-12):
-    ok = is_normalized(M, tol)
+def _check_normalized(M):
+    ok = is_normalized(M)
     w = {"logM0": float(M.logM[0]), "logM1": float(M.logM[1])}
     return Verdict("holds" if ok else "fails", w, (0, 1))
 
 
-def _check_log_concave_m(M, tol=1e-12):
+def _check_log_concave_m(M):
     logm = little_m(M).logM
     d2 = logm[:-2] + logm[2:] - 2 * logm[1:-1]
-    bad = np.flatnonzero(d2 > tol)
+    bad = np.flatnonzero(d2 > 1e-12)
     if bad.size:
         return Verdict("fails", {"p": int(bad[0] + 1), "excess": float(d2[bad[0]])},
                        (1, M.P - 1))
@@ -144,7 +144,7 @@ def _exp_reported(log_C: float) -> float:
         return float(np.exp(log_C))
 
 
-def _check_mg(M, tol=1e-12):
+def _check_mg(M):
     """Moderate growth: M_{p+q} <= C^{p+q+1} M_p M_q.
 
     Window constant from all pairs; certificate via the doubling statistic.
@@ -158,7 +158,7 @@ def _check_mg(M, tol=1e-12):
     dia = np.arange(1, M.P // 2 + 1)
     d_p = (logM[2 * dia] - 2 * logM[dia]) / (2 * dia + 1.0)
     if is_log_convex(M):
-        logmu = quotients(M).logmu
+        logmu = quotients(M)
         m_p = logmu[2 * dia] - logmu[dia]
         tail = _tail(m_p)
         if _nonincreasing(tail, tol9):
@@ -183,9 +183,9 @@ def _check_mg(M, tol=1e-12):
                    "pair statistic still moving at window end")
 
 
-def _check_dc(M, tol=1e-12):
+def _check_dc(M):
     """Derivation closedness: mu_{p+1} <= A^{p+1}."""
-    logmu = quotients(M).logmu
+    logmu = quotients(M)
     p = np.arange(1, M.P + 1, dtype=float)
     s = logmu[1:] / p
     A_w = float(np.exp(s.max()))
@@ -199,9 +199,9 @@ def _check_dc(M, tol=1e-12):
                    "statistic increasing with shrinking increments")
 
 
-def _check_quotient_ratio_bound(M, tol=1e-12):
+def _check_quotient_ratio_bound(M):
     """Successive quotient ratio: nu_{p+1} <= A nu_p."""
-    logmu = quotients(M).logmu
+    logmu = quotients(M)
     steps = np.diff(logmu[1:])
     if steps.size == 0:
         return Verdict("inconclusive", {}, (1, M.P))
@@ -225,7 +225,7 @@ def _liminf_ratio_verdict(M, threshold_of_Q, name):
     The ratio statistic is monotone for every builtin family, which turns a
     window tail minimum into a genuine liminf bound.
     """
-    logmu = quotients(M).logmu
+    logmu = quotients(M)
     results = {}
     for Q in _QS:
         hi = M.P // Q
@@ -254,15 +254,15 @@ def _liminf_ratio_verdict(M, threshold_of_Q, name):
     return Verdict("inconclusive", {"tested_Q": results}, (1, M.P // 2), name)
 
 
-def _check_beta1(M, tol=1e-12):
+def _check_beta1(M):
     return _liminf_ratio_verdict(M, lambda Q: math.log(Q), "beta1")
 
 
-def _check_beta3(M, tol=1e-12):
+def _check_beta3(M):
     return _liminf_ratio_verdict(M, lambda Q: 0.0, "beta3")
 
 
-def _check_gamma1(M, tol=1e-12):
+def _check_gamma1(M):
     """Strong non-quasianalyticity: sup_p (mu_p/p) sum_{k>=p} 1/mu_k < inf.
 
     The tail beyond the window is certified through a power-law fit of the
@@ -271,7 +271,7 @@ def _check_gamma1(M, tol=1e-12):
     """
     if not is_log_convex(M):
         return Verdict("inconclusive", {}, (1, M.P), "needs log-convex input")
-    logmu = quotients(M).logmu
+    logmu = quotients(M)
     P = M.P
     p = np.arange(1, P + 1, dtype=float)
     # dyadic growth rate of quotients on the tail
@@ -303,7 +303,7 @@ def _check_gamma1(M, tol=1e-12):
     return Verdict("inconclusive", {"tail_rate_range": (r_lo, r_hi)}, (1, P))
 
 
-def _check_momega1(M, tol=1e-12):
+def _check_momega1(M):
     """liminf (M_{Lj})^(1/Lj) / (M_j)^(1/j) > 1 for some L."""
     logM = M.logM
     results = {}
@@ -332,12 +332,12 @@ def _check_momega1(M, tol=1e-12):
     return Verdict("inconclusive", {"tested_L": results}, (1, M.P // 2))
 
 
-def _check_om1(M, tol=1e-12):
+def _check_om1(M):
     """omega_M(2t) = O(omega_M(t)): for log-convex M this is equivalent to
     the root-ratio condition, whose monotone statistic certifies from the
     window; the sampled ratio sup is reported alongside."""
     from .weights import default_t_grid, omega
-    base = _check_momega1(M, tol)
+    base = _check_momega1(M)
     ratio_sup = None
     try:
         grid = default_t_grid(M, t_min=2.0)
@@ -390,7 +390,7 @@ def _finite(value) -> bool:
     return True
 
 
-def check_property(M: WeightSequence, prop: str, tol: float = 1e-12) -> Verdict:
+def check_property(M: WeightSequence, prop: str) -> Verdict:
     """Run one predicate.  A holds or fails is only as good as its witness:
     one that carries a non-finite float comes back inconclusive."""
     try:
@@ -398,7 +398,7 @@ def check_property(M: WeightSequence, prop: str, tol: float = 1e-12) -> Verdict:
     except KeyError:
         raise InvalidSequenceError(
             f"unknown property {prop!r}; known: {', '.join(_CHECKS)}") from None
-    v = fn(M, tol)
+    v = fn(M)
     if v.status != "inconclusive" and not _finite(v.witness):
         notes = f"{v.status} withdrawn: non-finite witness"
         return Verdict("inconclusive", v.witness, v.window,
@@ -460,18 +460,19 @@ def relation(M: WeightSequence, N: WeightSequence, rel: str) -> Verdict:
 def matuszewska(a, side: str = "upper", p0: int = 8,
                 P: Optional[int] = None) -> IndexEstimate:
     """Dyadic-ratio estimate of the power-growth indices of a positive
-    sequence (given by its logs): r_p = (ln a_{2p} - ln a_p)/ln 2 over
-    [p0, P/2]; exact for pure powers a_p = p^s.
+    sequence given by its logs (for instance ``quotients(M)``):
+    r_p = (ln a_{2p} - ln a_p)/ln 2 over [p0, P/2], p0 an integer >= 1;
+    exact for pure powers a_p = p^s.
 
     The unbounded flag is set when the upper statistic keeps growing as the
     window doubles.
     """
-    if isinstance(a, QuotientView):
-        loga = a.logmu
-    elif isinstance(a, WeightSequence):
-        loga = quotients(a).logmu
-    else:
-        loga = np.asarray(a, dtype=float)
+    loga = _float_array(a, "matuszewska input")
+    if loga.ndim != 1:
+        raise InvalidSequenceError("matuszewska: input must be one-dimensional")
+    if not (isinstance(p0, numbers.Integral) and p0 >= 1):
+        raise InvalidSequenceError(
+            f"matuszewska: p0 must be an integer >= 1, got {p0!r}")
     n = loga.size - 1
     if P is not None:
         n = min(n, P)
@@ -531,13 +532,13 @@ class ReciprocityReport:
     residual_lower: float   # |beta(nu) * alpha(delta) - 1|
 
 
-def index_reciprocity_report(N: WeightSequence, P_dual: Optional[int] = None,
-                             p0_dual: Optional[int] = None) -> ReciprocityReport:
+def index_reciprocity_report(N: WeightSequence) -> ReciprocityReport:
     """Reciprocity of growth indices between a sequence and its dual.
 
-    The dual quotients are integer counts, so their dyadic ratios carry
-    floor noise of relative size ~1/delta_p; the estimation window for the
-    dual side therefore starts at p0 = P_dual/10 by default.
+    The dual window has P_dual = min(100 P, 10^6, nu_P) entries.  The dual
+    quotients are integer counts, so their dyadic ratios carry floor noise
+    of relative size ~1/delta_p; the estimation window for the dual side
+    therefore starts at p0 = P_dual/10.
     """
     qrb = check_property(N, "quotient-ratio-bound")
     if not qrb.holds:
@@ -546,13 +547,11 @@ def index_reciprocity_report(N: WeightSequence, P_dual: Optional[int] = None,
     nu = quotients(N)
     a_nu = matuszewska(nu, "upper")
     b_nu = matuszewska(nu, "lower")
-    if P_dual is None:
-        nu_max = float(np.exp(min(nu.logmu[-1], 700.0)))
-        P_dual = int(min(100 * N.P, 10**6, nu_max))
+    nu_max = float(np.exp(min(nu[-1], 700.0)))
+    P_dual = int(min(100 * N.P, 10**6, nu_max))
     D = dual(N, P_out=P_dual)
     delta = quotients(D)
-    if p0_dual is None:
-        p0_dual = max(8, P_dual // 10)
+    p0_dual = max(8, P_dual // 10)
     a_d = matuszewska(delta, "upper", p0=p0_dual)
     b_d = matuszewska(delta, "lower", p0=p0_dual)
     return ReciprocityReport(
@@ -561,16 +560,18 @@ def index_reciprocity_report(N: WeightSequence, P_dual: Optional[int] = None,
         residual_lower=abs(b_nu.lo * a_d.hi - 1.0))
 
 
+# beta(rho) may fall this far below beta(mu) and still count as ordered
+ROOT_QUOTIENT_SLACK = 0.05
+
+
 @dataclass(frozen=True)
 class RootQuotientReport:
     beta_rho: IndexEstimate
     beta_mu: IndexEstimate
-    slack: float
-    ordered: bool           # beta(rho) >= beta(mu) - slack
+    ordered: bool           # beta(rho) >= beta(mu) - ROOT_QUOTIENT_SLACK
 
 
-def root_vs_quotient_lower_index(M: WeightSequence,
-                                 slack: float = 0.05) -> RootQuotientReport:
+def root_vs_quotient_lower_index(M: WeightSequence) -> RootQuotientReport:
     """Lower index of the root sequence dominates the quotient lower index.
 
     The root statistic ln rho_p = ln M_p / p converges to its power law
@@ -584,5 +585,5 @@ def root_vs_quotient_lower_index(M: WeightSequence,
     b_rho = matuszewska(quotients(R), "lower", p0=p0)
     b_mu = matuszewska(quotients(M), "lower", p0=p0)
     return RootQuotientReport(
-        beta_rho=b_rho, beta_mu=b_mu, slack=slack,
-        ordered=bool(b_rho.lo >= b_mu.lo - slack))
+        beta_rho=b_rho, beta_mu=b_mu,
+        ordered=bool(b_rho.lo >= b_mu.lo - ROOT_QUOTIENT_SLACK))

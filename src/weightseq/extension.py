@@ -190,7 +190,7 @@ def cauchy_restriction_bound(F: CoefficientFunction, Mstar: WeightSequence,
         raise InvalidSequenceError("need A > 0, k > 0, n >= 0")
     if n + 1 > Mstar.P:
         raise CensoredWindowError(f"n={n} outside conjugate window", required_P=n + 1)
-    logmu_star = quotients(Mstar).logmu
+    logmu_star = quotients(Mstar)
     R = max(abs(x), 1.0)
     mu_n = math.exp(logmu_star[n]) if n >= 1 else 1.0
     r = mu_n / (2.0 * k)

@@ -32,6 +32,8 @@ DEFAULT_P = 512
 
 # generator must reproduce stored logM to this relative slack
 GENERATOR_MATCH_RTOL = 1e-12
+# absolute slack of the structural predicates on ln M_p and ln mu_p
+STRUCTURE_TOL = 1e-12
 
 
 def log_factorial(p):
@@ -104,6 +106,23 @@ class ClosedForm:
 
 
 @dataclass(frozen=True)
+class LogPowerBound:
+    """ln a_j = -j ln ln j for j >= 2 and ln a_0 = ln a_1 = 0.
+
+    ``rate(u)`` is (1/k) ln a_k at u = ln k, which is -ln u; the growth
+    gauge reads it to evaluate at astronomically large arguments.
+    """
+
+    def __call__(self, p):
+        """ln a_j in float for a scalar or an array of indices."""
+        p = np.asarray(p, dtype=float)
+        return np.where(p >= 2, -p * np.log(np.log(np.maximum(p, 2.0))), 0.0)
+
+    def rate(self, u: float) -> float:
+        return -math.log(u)
+
+
+@dataclass(frozen=True)
 class WeightSequence:
     """Finite truncation of a positive sequence, stored in log domain.
 
@@ -168,20 +187,6 @@ class WeightSequence:
 
     def __repr__(self):
         return f"WeightSequence({self.name!r}, P={self.P})"
-
-
-@dataclass(frozen=True)
-class QuotientView:
-    """Log quotients ln mu_p with mu_0 := 1 (logmu[0] = 0)."""
-
-    logmu: np.ndarray
-
-    @property
-    def P(self) -> int:
-        return self.logmu.size - 1
-
-    def is_nondecreasing(self, tol: float = 0.0) -> bool:
-        return bool(np.all(np.diff(self.logmu[1:]) >= -tol))
 
 
 @dataclass(frozen=True)
@@ -308,12 +313,12 @@ def make_family(spec, P: Optional[int] = None) -> WeightSequence:
 # elementary operations
 # ---------------------------------------------------------------------------
 
-def quotients(M: WeightSequence) -> QuotientView:
-    """Quotient view: logmu[0] = 0, logmu[p] = logM[p] - logM[p-1]."""
+def quotients(M: WeightSequence) -> np.ndarray:
+    """Log quotients: logmu[0] = 0 (mu_0 := 1), logmu[p] = logM[p] - logM[p-1]."""
     logmu = np.empty(M.P + 1)
     logmu[0] = 0.0
     logmu[1:] = np.diff(M.logM)
-    return QuotientView(logmu)
+    return logmu
 
 
 def from_quotients(logmu, name: str = "from-quotients",
@@ -335,6 +340,8 @@ def little_m(M: WeightSequence) -> WeightSequence:
 def factorial_shift(M: WeightSequence, s: float) -> WeightSequence:
     """Multiply by (p!)^s in log domain; s is anything float() accepts."""
     s = _number(s, "factorial shift")
+    if not math.isfinite(s):
+        raise InvalidSequenceError(f"factorial shift must be finite, got {s}")
     logM = M.logM + s * log_factorial(np.arange(M.P + 1))
     form = M.generator.shift(s) if isinstance(M.generator, ClosedForm) else None
     return WeightSequence(f"shift[{M.name},{s:g}]", logM, form,
@@ -357,25 +364,24 @@ def root_sequence(M: WeightSequence) -> WeightSequence:
 # structural predicates used as preconditions (cheap, window-exact)
 # ---------------------------------------------------------------------------
 
-def is_log_convex(M: WeightSequence, tol: float = 1e-12) -> bool:
+def is_log_convex(M: WeightSequence) -> bool:
     """M_p^2 <= M_{p-1} M_{p+1} for all p in the window."""
-    return quotients(M).is_nondecreasing(tol)
+    return bool(np.all(np.diff(quotients(M)[1:]) >= -STRUCTURE_TOL))
 
 
-def is_normalized(M: WeightSequence, tol: float = 1e-12) -> bool:
+def is_normalized(M: WeightSequence) -> bool:
     """1 = M_0 <= M_1."""
-    return abs(M.logM[0]) <= tol and M.logM[1] >= -tol
+    return abs(M.logM[0]) <= STRUCTURE_TOL and M.logM[1] >= -STRUCTURE_TOL
 
 
-def in_lc_window(M: WeightSequence, tol: float = 1e-12) -> bool:
+def in_lc_window(M: WeightSequence) -> bool:
     """Window proxy for membership in the normalized log-convex class with
     (M_p)^(1/p) -> infinity: normalized, log-convex, and quotients strictly
     exceeding 1 with an increasing trend by the end of the window."""
-    if not (is_normalized(M, tol) and is_log_convex(M, tol)):
+    if not (is_normalized(M) and is_log_convex(M)):
         return False
-    logmu = quotients(M).logmu
-    tail = logmu[-max(4, M.P // 4):]
-    return bool(tail[-1] > math.log(1.5) and tail[-1] >= tail[0] - tol)
+    tail = quotients(M)[-max(4, M.P // 4):]
+    return bool(tail[-1] > math.log(1.5) and tail[-1] >= tail[0] - STRUCTURE_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -384,8 +390,11 @@ def in_lc_window(M: WeightSequence, tol: float = 1e-12) -> bool:
 
 def _family_block(M: WeightSequence):
     """The generator as stored: a Gevrey order, the closed-form coefficients
-    at full float precision, or custom (window data only)."""
+    at full float precision, the log-power bound, or custom (window data
+    only)."""
     form = M.generator
+    if isinstance(form, LogPowerBound):
+        return {"type": "log-power", "params": {}}
     if not isinstance(form, ClosedForm):
         return {"type": "custom", "params": {}}
     if form.b == 0 and form.a >= 0:
@@ -422,6 +431,8 @@ def load_sequence(path) -> WeightSequence:
         form = make_family(fam, P=8).generator  # checks the parameter
     elif kind == "closed-form":
         form = ClosedForm(_family_param(fam, "a"), _family_param(fam, "b"))
+    elif kind == "log-power":
+        form = LogPowerBound()
     logM = doc.get("logM")
     if logM is None:
         if form is None:

@@ -28,6 +28,8 @@ from .seqcore import (ClosedForm, WeightSequence, from_quotients, in_lc_window,
 
 # default ceiling for materialised dual windows (entries, not values)
 DUAL_WINDOW_CAP = 200_000
+# window doublings regularize_almost_decreasing tries before it gives up
+REGULARIZE_DOUBLINGS = 8
 
 
 def conjugate(M: WeightSequence) -> WeightSequence:
@@ -73,7 +75,7 @@ def dual(N: WeightSequence, P_out: int | None = None) -> WeightSequence:
     if not in_lc_window(N):
         raise PreconditionError(
             f"dual: {N.name} is not normalized with diverging quotients on its window")
-    lognu = quotients(N).logmu
+    lognu = quotients(N)
     # nu_1..nu_P, non-decreasing; a quotient past float range is inf, which
     # exceeds every count, as it should
     with np.errstate(over="ignore"):
@@ -120,14 +122,14 @@ def bidual(N: WeightSequence, P_out: int | None = None) -> WeightSequence:
         M = M.extended(P_out + 1)
     if P_out + 1 > M.P:
         raise CensoredWindowError("bidual: input window too short", required_P=P_out + 1)
-    lim = quotients(M).logmu[P_out + 1]
+    lim = quotients(M)[P_out + 1]
     if lim > math.log(50_000_000):
         raise CensoredWindowError(
             f"bidual: inner dual window would need ~e^{lim:.1f} entries")
     P_inner = int(math.floor(math.exp(lim))) + 2
     # grow the input window until its counting range covers the inner dual
     for _ in range(24):
-        last = quotients(M).logmu[-1]
+        last = quotients(M)[-1]
         if math.exp(min(last, 700.0)) >= P_inner:
             break
         if M.generator is None:
@@ -136,7 +138,7 @@ def bidual(N: WeightSequence, P_out: int | None = None) -> WeightSequence:
                 required_P=2 * M.P)
         M = M.extended(2 * M.P)
     D = dual(M, P_out=P_inner)
-    logdelta = quotients(D).logmu
+    logdelta = quotients(D)
     delta = np.exp(logdelta[1:])  # non-decreasing
     if delta[-1] <= P_out:
         raise CensoredWindowError(
@@ -158,7 +160,6 @@ def bidual(N: WeightSequence, P_out: int | None = None) -> WeightSequence:
 class RegularizationResult:
     L: WeightSequence
     H: float                # window value; lower bound for the true constant
-    tail_certified: bool    # block envelope of mu_q/q decreasing at the end
 
 
 def _tail_sup_resolvable(ratio: np.ndarray, n_blocks: int = 8) -> bool:
@@ -173,23 +174,23 @@ def _tail_sup_resolvable(ratio: np.ndarray, n_blocks: int = 8) -> bool:
     return all(maxima[i] >= maxima[i + 1] - 1e-12 for i in range(len(maxima) - 1))
 
 
-def regularize_almost_decreasing(M: WeightSequence,
-                                 max_extension: int = 8) -> RegularizationResult:
+def regularize_almost_decreasing(M: WeightSequence) -> RegularizationResult:
     """Replace quotients mu by lambda_p = H^{-1} p sup_{q>=p} mu_q/q.
 
     The output satisfies lambda_p/p non-increasing and
     H^{-1} mu_p <= lambda_p <= mu_p pointwise on the window; lambda_0 = 1.
     H is computed on the window and reported as a lower bound for the true
-    asymptotic constant.
+    asymptotic constant.  A window whose tail sup of mu_q/q is unresolved
+    is doubled, up to REGULARIZE_DOUBLINGS times, through its generator.
     """
     work = M
-    for attempt in range(max_extension + 1):
-        logmu = quotients(work).logmu
+    for attempt in range(REGULARIZE_DOUBLINGS + 1):
+        logmu = quotients(work)
         p = np.arange(1, work.P + 1, dtype=float)
         log_ratio = logmu[1:] - np.log(p)     # ln(mu_q / q)
         if _tail_sup_resolvable(log_ratio):
             break
-        if work.generator is None or attempt == max_extension:
+        if work.generator is None or attempt == REGULARIZE_DOUBLINGS:
             raise InconclusiveTailError(
                 f"regularize: tail sup of mu_q/q unresolved within window of {M.name}")
         work = work.extended(work.P * 2)
@@ -205,8 +206,7 @@ def regularize_almost_decreasing(M: WeightSequence,
     L = from_quotients(loglam, name=f"reg[{M.name}]")
     L = WeightSequence(L.name, L.logM,
                        provenance=f"transform:regularize({M.provenance})")
-    return RegularizationResult(L=L, H=float(math.exp(logH)),
-                                tail_certified=True)
+    return RegularizationResult(L=L, H=float(math.exp(logH)))
 
 
 @dataclass(frozen=True)
@@ -225,7 +225,7 @@ def normalize_head(L: WeightSequence) -> HeadNormalization:
     """
     if not is_log_convex(L):
         raise PreconditionError("normalize_head: input is not log-convex")
-    loglam = quotients(L).logmu
+    loglam = quotients(L)
     if loglam[1] >= 0.0:
         # already normalized: no modification required
         out = WeightSequence(L.name, L.logM, L.generator,

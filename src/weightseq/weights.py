@@ -27,8 +27,8 @@ from scipy.special import gammaln
 
 from .errors import (CensoredWindowError, InvalidSequenceError,
                      PreconditionError, UntrustedEvaluationError)
-from .seqcore import (ClosedForm, WeightSequence, SequenceFamily,
-                      is_log_convex, little_m, quotients)
+from .seqcore import (ClosedForm, LogPowerBound, WeightSequence,
+                      SequenceFamily, is_log_convex, little_m, quotients)
 
 LN2 = math.log(2.0)
 
@@ -107,7 +107,7 @@ def counting(M: WeightSequence, t: float) -> int:
     _require_finite("counting", t)
     if t < 0:
         raise InvalidSequenceError("counting: t must be >= 0")
-    logmu = quotients(M).logmu[1:]
+    logmu = quotients(M)[1:]
     logt = math.log(t) if t > 0 else -math.inf
     if is_log_convex(M):
         if logt > logmu[-1]:
@@ -318,15 +318,18 @@ class AssociatedWeight:
         return rows
 
 
-def default_t_grid(M: WeightSequence, t_min: float = 1.0,
-                   ratio: float = 1.2) -> np.ndarray:
-    """Geometric grid from t_min up to the trust bound (capped at e^60 for
-    sequences whose windowed quotients already exceed float comfort)."""
+def default_t_grid(M: WeightSequence, t_min: float = 1.0) -> np.ndarray:
+    """Geometric grid of ratio 1.2 from t_min > 0 up to the trust bound
+    (capped at e^60 for sequences whose windowed quotients already exceed
+    float comfort)."""
+    _require_finite("default_t_grid", t_min, "t_min")
+    if t_min <= 0:
+        raise InvalidSequenceError(f"default_t_grid: t_min must be > 0, got {t_min}")
     hi = min(valid_to(M), math.exp(60.0))
     if hi <= t_min:
         raise CensoredWindowError(f"no trusted omega range above {t_min} for {M.name}")
-    n = int(math.floor(math.log(hi / t_min) / math.log(ratio)))
-    return t_min * ratio ** np.arange(n + 1)
+    n = int(math.floor(math.log(hi / t_min) / math.log(1.2)))
+    return t_min * 1.2 ** np.arange(n + 1)
 
 
 def integral_representation_residual(M: WeightSequence, t: float) -> float:
@@ -342,7 +345,7 @@ def integral_representation_residual(M: WeightSequence, t: float) -> float:
     res = omega(M, t)
     if not res.trusted:
         raise CensoredWindowError(f"omega untrusted at t={t:g} for {M.name}")
-    logmu = quotients(M).logmu[1:]
+    logmu = quotients(M)[1:]
     logt = math.log(t) if t > 0 else -math.inf
     if t > 0 and logt > logmu[-1]:
         raise CensoredWindowError(f"t={t:g} beyond counting range of {M.name}")
@@ -387,7 +390,7 @@ def counting_scaling_residual(M: WeightSequence, k: int, beta: float,
         if not (w0.trusted and w1.trusted):
             raise CensoredWindowError(f"omega untrusted at t={t:g}")
         excess_omega.append(w1.value - (k + 1) * w0.value)
-    logmu = quotients(M).logmu
+    logmu = quotients(M)
     idx = np.arange(1, M.P // k + 1)
     ratios = logmu[k * idx] - logmu[idx]
     tail = ratios[len(ratios) // 2:]
@@ -402,23 +405,6 @@ def counting_scaling_residual(M: WeightSequence, k: int, beta: float,
 # ---------------------------------------------------------------------------
 # growth gauge
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class LogPowerBound:
-    """ln a_j = -j ln ln j for j >= 2 and ln a_0 = ln a_1 = 0.
-
-    ``rate(u)`` is (1/k) ln a_k at u = ln k, which is -ln u; the growth
-    gauge reads it to evaluate at astronomically large arguments.
-    """
-
-    def __call__(self, p):
-        """ln a_j in float for a scalar or an array of indices."""
-        p = np.asarray(p, dtype=float)
-        return np.where(p >= 2, -p * np.log(np.log(np.maximum(p, 2.0))), 0.0)
-
-    def rate(self, u: float) -> float:
-        return -math.log(u)
-
 
 def markin_bound(P: int = 512) -> WeightSequence:
     """The bound a_j = 1/ln(j)^j for j >= 2, a_0 = a_1 = 1.

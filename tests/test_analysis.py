@@ -30,7 +30,7 @@ def test_lc_matches_quotient_monotonicity():
 def test_lc_verdict_iff_nondecreasing_quotients(logs):
     M = sc.custom(logs)
     v = an.check_property(M, "lc")
-    assert v.holds == sc.quotients(M).is_nondecreasing(1e-12)
+    assert v.holds == bool(np.all(np.diff(sc.quotients(M)[1:]) >= -1e-12))
 
 
 def test_mg_fixtures():
@@ -158,12 +158,12 @@ def test_non_finite_witness_withdrawn(monkeypatch):
     for status in ("holds", "fails"):
         for w in witnesses:
             monkeypatch.setitem(an._CHECKS, "fake",
-                                lambda M, tol, w=w: an.Verdict(status, w, (1, 8), "why"))
+                                lambda M, w=w: an.Verdict(status, w, (1, 8), "why"))
             v = an.check_property(sc.gevrey(1), "fake")
             assert v.status == "inconclusive" and v.witness == w
             assert v.notes == f"{status} withdrawn: non-finite witness; why"
     ok = an.Verdict("holds", {"C": 2.0, "tested": [1, "a", True]}, (1, 8))
-    monkeypatch.setitem(an._CHECKS, "fake", lambda M, tol: ok)
+    monkeypatch.setitem(an._CHECKS, "fake", lambda M: ok)
     assert an.check_property(sc.gevrey(1), "fake") is ok
 
 

@@ -122,7 +122,7 @@ def test_cauchy_restriction_n0_and_certificate():
     F = ex.CoefficientFunction.reciprocal(Mstar)
     rb = ex.cauchy_restriction_bound(F, Mstar, A=2.0, k=2.0, x=0.0, n=5)
     # n0 counts quotients below the covering radius: mu*_n/(2k) < 2R
-    mus = np.exp(sc.quotients(Mstar).logmu[1:])
+    mus = np.exp(sc.quotients(Mstar)[1:])
     assert rb.n0 == int(np.sum(mus / 4.0 < 2.0))
     with pytest.raises(InvalidSequenceError):
         ex.cauchy_restriction_bound(F, Mstar, A=1e-9, k=2.0, x=0.0, n=5)

@@ -7,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln
 
+from weightseq import analysis as an
 from weightseq import seqcore as sc
 from weightseq import transforms as tr
+from weightseq import weights as wt
 from weightseq.errors import InvalidSequenceError
 
 finite_logs = st.lists(
@@ -26,10 +28,10 @@ def test_gevrey_frozen_values():
 
 
 def test_quotient_frozen_values():
-    assert sc.quotients(sc.gevrey(2)).logmu[3] == pytest.approx(2 * math.log(3), abs=1e-12)
-    assert np.all(sc.quotients(sc.gevrey(0)).logmu == 0.0)
-    assert sc.quotients(sc.qgevrey(2)).logmu[4] == pytest.approx(7 * math.log(2), abs=1e-9)
-    assert sc.quotients(sc.gevrey(1)).logmu[0] == 0.0
+    assert sc.quotients(sc.gevrey(2))[3] == pytest.approx(2 * math.log(3), abs=1e-12)
+    assert np.all(sc.quotients(sc.gevrey(0)) == 0.0)
+    assert sc.quotients(sc.qgevrey(2))[4] == pytest.approx(7 * math.log(2), abs=1e-9)
+    assert sc.quotients(sc.gevrey(1))[0] == 0.0
 
 
 def test_family_rejections():
@@ -125,7 +127,7 @@ def test_generator_tolerance_covers_cancelling_transforms():
 @settings(max_examples=60)
 def test_quotient_roundtrip(logs):
     M = sc.custom(logs)
-    back = sc.from_quotients(sc.quotients(M).logmu, logM0=float(M.logM[0]))
+    back = sc.from_quotients(sc.quotients(M), logM0=float(M.logM[0]))
     assert np.max(np.abs(back.logM - M.logM)) <= 1e-10
 
 
@@ -157,18 +159,18 @@ def test_little_m():
 def test_root_sequence():
     R = sc.root_sequence(sc.gevrey(0))
     assert np.allclose(R.logM, 0.0)
-    rho = sc.quotients(sc.root_sequence(sc.gevrey(1))).logmu
+    rho = sc.quotients(sc.root_sequence(sc.gevrey(1)))
     assert rho[4] == pytest.approx(math.log(24) / 4, abs=1e-12)
     # root quotients never exceed plain quotients for normalized log-convex M
     for M in (sc.gevrey(1), sc.gevrey(2), sc.qgevrey(2)):
-        assert np.all(sc.quotients(sc.root_sequence(M)).logmu[1:]
-                      <= sc.quotients(M).logmu[1:] + 1e-9)
+        assert np.all(sc.quotients(sc.root_sequence(M))[1:]
+                      <= sc.quotients(M)[1:] + 1e-9)
 
 
 def test_quotient_window_bracket():
     # for normalized M: min quotient <= logM[p]/p <= max quotient over 1..p
     for M in (sc.gevrey(0.5), sc.gevrey(2), sc.qgevrey(2)):
-        logmu = sc.quotients(M).logmu
+        logmu = sc.quotients(M)
         for p in (1, 5, 50, M.P):
             window = logmu[1 : p + 1]
             assert window.min() - 1e-9 <= M.logM[p] / p <= window.max() + 1e-9
@@ -281,6 +283,26 @@ def test_json_non_numeric_window_rejected(tmp_path, doc):
     path.write_text(json.dumps(doc))
     with pytest.raises(InvalidSequenceError):
         sc.load_sequence(path)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: wt.default_t_grid(sc.gevrey(2), t_min=math.nan),
+    lambda: wt.default_t_grid(sc.gevrey(2), t_min=-1.0),
+    lambda: wt.default_t_grid(sc.gevrey(2), t_min=0.0),
+    lambda: an.matuszewska(sc.quotients(sc.gevrey(1.5, P=64)), p0=0),
+    lambda: an.matuszewska(sc.quotients(sc.gevrey(1.5, P=64)), p0=-1),
+    lambda: an.matuszewska(sc.quotients(sc.gevrey(1.5, P=64)), p0=1.5),
+    lambda: an.matuszewska(["a"] * 64),
+    lambda: an.matuszewska(np.zeros((40, 40))),
+    lambda: sc.factorial_shift(sc.gevrey(1), math.inf),
+    lambda: sc.factorial_shift(sc.gevrey(1), -math.inf),
+], ids=["grid-nan", "grid-negative", "grid-zero", "matuszewska-p0-zero",
+        "matuszewska-p0-negative", "matuszewska-p0-fraction",
+        "matuszewska-non-numeric", "matuszewska-2d", "shift-inf",
+        "shift-minus-inf"])
+def test_invalid_arguments_rejected(call):
+    with pytest.raises(InvalidSequenceError):
+        call()
 
 
 @pytest.mark.parametrize("logM", [["a"] * 10, [None] * 10, [[0.0, 1.0]] * 10,

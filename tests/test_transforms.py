@@ -68,8 +68,8 @@ def test_conjugate_moderate_growth_transfer():
 
 def test_conjugate_quotient_identity():
     M = sc.gevrey(0.3)
-    mu = sc.quotients(M).logmu
-    mus = sc.quotients(tr.conjugate(M)).logmu
+    mu = sc.quotients(M)
+    mus = sc.quotients(tr.conjugate(M))
     p = np.arange(1, M.P + 1)
     assert np.max(np.abs(mus[1:] - (np.log(p) - mu[1:]))) <= 1e-9
 
@@ -80,7 +80,7 @@ def test_conjugate_quotient_identity():
 
 def brute_dual_quotients(N, P_out):
     """Independent oracle: linear-scan counting of quotients <= p."""
-    nu = np.exp(sc.quotients(N).logmu[1:])
+    nu = np.exp(sc.quotients(N)[1:])
     nu1 = nu[0]
     delta = np.ones(P_out + 1)
     for p in range(1, P_out):
@@ -92,7 +92,7 @@ def brute_dual_quotients(N, P_out):
 def test_dual_gevrey2_against_oracle():
     G2 = sc.gevrey(2, P=64)
     D = tr.dual(G2, P_out=500)
-    got = np.rint(np.exp(sc.quotients(D).logmu)).astype(int)
+    got = np.rint(np.exp(sc.quotients(D))).astype(int)
     want = brute_dual_quotients(G2, 500).astype(int)
     assert np.array_equal(got, want)
     # closed form floor(sqrt(p)) for delta_{p+1}
@@ -136,12 +136,12 @@ def test_dual_past_float_range():
 
 def test_dual_quotients_shrink_bidual_restores():
     D = tr.dual(sc.gevrey(2), P_out=4000)
-    delta = np.exp(sc.quotients(D).logmu)
+    delta = np.exp(sc.quotients(D))
     p = np.arange(1, 4001)
     ratio = delta[1:] / p
     assert ratio[-1] < 0.05 and ratio[-1] < ratio[10]
     E = tr.bidual(sc.gevrey(2, P=600), P_out=500)
-    eps = np.exp(sc.quotients(E).logmu)
+    eps = np.exp(sc.quotients(E))
     er = eps[1:] / np.arange(1, 501)
     assert er[-1] > er[10] > 0  # growth restored
 
@@ -161,7 +161,7 @@ def test_bidual_gevrey1_head():
     # counting pushes the shifted factorial back: eps_{p+1} = p + 1 exactly
     E = tr.bidual(sc.gevrey(1, P=300), P_out=200)
     assert np.max(np.abs(E.logM - sc.gevrey(1, P=200).logM)) <= 1e-9
-    eps = np.rint(np.exp(sc.quotients(E).logmu)).astype(int)
+    eps = np.rint(np.exp(sc.quotients(E))).astype(int)
     assert all(eps[q] == q for q in range(2, 200))
 
 
@@ -179,14 +179,32 @@ def test_regularize_identity_when_already_decreasing():
 def test_regularize_dual_gevrey2():
     D = tr.dual(sc.gevrey(2), P_out=2000)
     reg = tr.regularize_almost_decreasing(D)
-    lam = np.exp(sc.quotients(reg.L).logmu)
-    mu = np.exp(sc.quotients(D).logmu)
+    lam = np.exp(sc.quotients(reg.L))
+    mu = np.exp(sc.quotients(D))
     p = np.arange(1, 2001, dtype=float)
     assert np.all(np.diff(lam[1:] / p) <= 1e-12)
     assert np.all(lam[1:] <= mu[1:] * (1 + 1e-12))
     assert np.all(lam[1:] >= mu[1:] / reg.H * (1 - 1e-12))
     assert reg.L.logM[0] == 0.0
     assert reg.H > 1.0
+
+
+def test_regularize_doubles_the_window():
+    # mu_q/q of this ClosedForm(2, -1e-3) peaks at q = 500: its tail sup is
+    # resolved only after two doublings of the window
+    M = sc.factorial_shift(tr.conjugate(sc.qgevrey(math.exp(1e-3), P=256)), 1)
+    reg = tr.regularize_almost_decreasing(M)
+    assert reg.L.P == 1024
+    lam = np.exp(sc.quotients(reg.L))
+    mu = np.exp(sc.quotients(M.extended(1024)))
+    p = np.arange(1, 1025, dtype=float)
+    assert np.all(np.diff(lam[1:] / p) <= 1e-12)
+    assert np.all(lam[1:] <= mu[1:] * (1 + 1e-12))
+    assert np.all(lam[1:] >= mu[1:] / reg.H * (1 - 1e-12))
+    # with the peak at q = 5e5, eight doublings (P = 65536) fall short
+    far = sc.factorial_shift(tr.conjugate(sc.qgevrey(math.exp(1e-6), P=256)), 1)
+    with pytest.raises(InconclusiveTailError):
+        tr.regularize_almost_decreasing(far)
 
 
 def test_regularize_inconclusive_tail():
@@ -201,7 +219,7 @@ def test_normalize_head_forced_example():
                           np.log(2.0) * np.ones(8)])
     L = sc.from_quotients(lam, name="dip")
     hn = tr.normalize_head(L)
-    got = np.exp(sc.quotients(hn.L).logmu[:6])
+    got = np.exp(sc.quotients(hn.L)[:6])
     assert np.allclose(got, [1, 1, 1, 1.2, 2, 2], atol=1e-12)
     assert hn.p0 == 2
     assert hn.log_c == pytest.approx(-math.log(0.5) - math.log(0.8), abs=1e-12)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -24,7 +25,7 @@ def test_counting_examples():
 
 def test_counting_step_structure():
     M = sc.gevrey(2)
-    mu = np.exp(sc.quotients(M).logmu)
+    mu = np.exp(sc.quotients(M))
     for p in (3, 10, 20):
         eps = 1e-6
         assert wt.counting(M, mu[p] + eps) == p
@@ -38,7 +39,7 @@ def test_counting_step_structure():
 def test_omega_zero_region_and_zero_arg():
     M = sc.gevrey(2)
     assert wt.omega(M, 0.0).value == 0.0
-    mu1 = float(np.exp(sc.quotients(M).logmu[1]))
+    mu1 = float(np.exp(sc.quotients(M)[1]))
     for t in np.linspace(0, mu1, 7):
         assert wt.omega(M, float(t)).value == 0.0
 
@@ -75,7 +76,7 @@ def test_omega_monotone_and_logconvex():
 
 def test_omega_step_identity():
     for M in (sc.gevrey(1), sc.gevrey(2)):
-        logmu = sc.quotients(M).logmu
+        logmu = sc.quotients(M)
         rng = np.random.default_rng(3)
         for _ in range(50):
             p = int(rng.integers(1, M.P // 2))
@@ -236,7 +237,7 @@ def test_integral_representation():
     for M, t in ((sc.gevrey(2), 50.0), (sc.gevrey(1), 20.0)):
         assert wt.integral_representation_residual(M, t) <= 1e-9
     M = sc.gevrey(2)
-    mu1 = float(np.exp(sc.quotients(M).logmu[1]))
+    mu1 = float(np.exp(sc.quotients(M)[1]))
     assert wt.integral_representation_residual(M, 0.5 * mu1) == 0.0
     grid = wt.default_t_grid(M, t_min=1.05)
     worst = max(wt.integral_representation_residual(M, float(t))
@@ -305,6 +306,31 @@ def test_gauge_on_window_only_bound_has_no_astronomic_range():
     for fn in (gauge.log_h, gauge.log_g):
         with pytest.raises(CensoredWindowError):
             fn(1e4)
+
+
+def test_markin_bound_json_roundtrip(tmp_path):
+    B = wt.markin_bound(512)
+    path = tmp_path / "bound.json"
+    sc.save_sequence(B, path)
+    back = sc.load_sequence(path)
+    assert back.generator == sc.LogPowerBound()
+    assert np.array_equal(back.logM, B.logM)
+    assert back.provenance == B.provenance
+    again = tmp_path / "again.json"
+    sc.save_sequence(back, again)
+    assert again.read_text() == path.read_text()
+    # the generator rebuilds the window of a block saved without logM
+    doc = json.loads(path.read_text())
+    del doc["logM"]
+    path.write_text(json.dumps(doc))
+    bare = sc.load_sequence(path)
+    assert bare.generator == sc.LogPowerBound()
+    assert np.array_equal(bare.logM, B.logM)
+    # past direct summation and past float range, as the builtin bound
+    gauge, reloaded = wt.build_gauge(B), wt.build_gauge(back)
+    for log_t in (11.0, 13.0, 1e4):
+        assert reloaded.log_h(log_t) == gauge.log_h(log_t)
+        assert reloaded.log_g(log_t) == gauge.log_g(log_t)
 
 
 @pytest.fixture(scope="module")
