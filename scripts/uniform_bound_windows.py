@@ -26,8 +26,7 @@ CASES = [
 
 
 def main():
-    fam = small_gevrey_family(alpha_of_beta=lambda b: b, P=200_000,
-                              name="small-gevrey-direct")
+    fam = small_gevrey_family(P=200_000, name="small-gevrey-direct")
     for K, P, params in CASES:
         label = f"K={K} P={P:>7d} orders={params}"
         try:

@@ -20,7 +20,8 @@ import numpy as np
 
 from .errors import InvalidSequenceError, PreconditionError, WeightSeqError
 from .seqcore import (SequenceFamily, WeightSequence, _float_array,
-                      is_log_convex, is_normalized, little_m, quotients)
+                      is_log_convex, is_normalized, little_m, quotients,
+                      structure_tol)
 from .transforms import dual
 
 
@@ -76,13 +77,6 @@ def _nondecreasing(x: np.ndarray, tol: float = 1e-12) -> bool:
     return bool(np.all(np.diff(x) >= -tol))
 
 
-def _trend_tol(M, tol: float) -> float:
-    """tol, raised to 8 ulp of the window's largest |ln M_p|: the rounding
-    of quotients taken as differences of ln M_p (~3e6 for q-Gevrey
-    windows at P = 2048) is above the absolute tolerances."""
-    return max(tol, 8.0 * np.finfo(float).eps * float(np.abs(M.logM).max()))
-
-
 def _block_minima_nondecreasing(x: np.ndarray, n_blocks: int = 6,
                                 tol: float = 1e-9) -> bool:
     """Envelope trend for noisy statistics (integer-valued quotients carry
@@ -98,7 +92,7 @@ def _block_minima_nondecreasing(x: np.ndarray, n_blocks: int = 6,
 
 def _check_lc(M):
     d = np.diff(quotients(M)[1:])
-    bad = np.flatnonzero(d < -1e-12)
+    bad = np.flatnonzero(d < -structure_tol(M))
     if bad.size:
         p = int(bad[0] + 1)
         return Verdict("fails", {"p": p, "drop": float(d[bad[0]])}, (1, M.P),
@@ -113,9 +107,11 @@ def _check_normalized(M):
 
 
 def _check_log_concave_m(M):
-    logm = little_m(M).logM
+    # |ln m_p| is bit for bit the |ln M*_p| that lc sees on the conjugate
+    m = little_m(M)
+    logm = m.logM
     d2 = logm[:-2] + logm[2:] - 2 * logm[1:-1]
-    bad = np.flatnonzero(d2 > 1e-12)
+    bad = np.flatnonzero(d2 > structure_tol(m))
     if bad.size:
         return Verdict("fails", {"p": int(bad[0] + 1), "excess": float(d2[bad[0]])},
                        (1, M.P - 1))
@@ -153,7 +149,7 @@ def _check_mg(M):
     and a convexly growing tail refutes.
     """
     logM = M.logM
-    tol9, tol12 = _trend_tol(M, 1e-9), _trend_tol(M, 1e-12)
+    tol9, tol12 = structure_tol(M, 1e-9), structure_tol(M)
     log_C = _log_window_constant(logM)
     dia = np.arange(1, M.P // 2 + 1)
     d_p = (logM[2 * dia] - 2 * logM[dia]) / (2 * dia + 1.0)
@@ -206,7 +202,7 @@ def _check_quotient_ratio_bound(M):
     if steps.size == 0:
         return Verdict("inconclusive", {}, (1, M.P))
     A_w = float(np.exp(min(steps.max(), 700.0)))
-    tol9, tol12 = _trend_tol(M, 1e-9), _trend_tol(M, 1e-12)
+    tol9, tol12 = structure_tol(M, 1e-9), structure_tol(M)
     if int(np.argmax(steps)) <= 3 * len(steps) // 4 or \
             _nonincreasing(_tail(steps), tol9):
         return Verdict("holds", {"A": A_w}, (1, M.P))
@@ -457,8 +453,7 @@ def relation(M: WeightSequence, N: WeightSequence, rel: str) -> Verdict:
 # Matuszewska indices
 # ---------------------------------------------------------------------------
 
-def matuszewska(a, side: str = "upper", p0: int = 8,
-                P: Optional[int] = None) -> IndexEstimate:
+def matuszewska(a, side: str = "upper", p0: int = 8) -> IndexEstimate:
     """Dyadic-ratio estimate of the power-growth indices of a positive
     sequence given by its logs (for instance ``quotients(M)``):
     r_p = (ln a_{2p} - ln a_p)/ln 2 over [p0, P/2], p0 an integer >= 1;
@@ -474,8 +469,6 @@ def matuszewska(a, side: str = "upper", p0: int = 8,
         raise InvalidSequenceError(
             f"matuszewska: p0 must be an integer >= 1, got {p0!r}")
     n = loga.size - 1
-    if P is not None:
-        n = min(n, P)
     hi = n // 2
     if hi <= p0:
         raise InvalidSequenceError(

@@ -336,18 +336,21 @@ class BoundedSolutionReport:
     max_rel_err: float        # worst ||y^(n)(t)|| vs ||A^n y(t)|| mismatch
     exp_type_constant: float  # max |lambda|
     exp_type_margin: float    # max over grid of ||y(z)|| / (||y0|| e^(C|z|))
-    n_max: int
 
 
-def bounded_solution_check(eigs, y0, t: float, n_max: int = 12,
-                           grid_points: int = 100,
+BOUNDED_N_MAX = 12
+BOUNDED_GRID_POINTS = 100
+
+
+def bounded_solution_check(eigs, y0, t: float,
                            seed: int = 0) -> BoundedSolutionReport:
     """Flow y(t) = e^(tA) y0 of a finite diagonal A.
 
-    Derivatives are computed two ways: componentwise lambda^n e^(lambda t) y0
-    and by n-fold application of A to y(t); the norms must agree.  The
-    exponential-type bound ||y(z)|| <= ||y0|| e^(C|z|) with C = max|lambda|
-    is sampled on a complex grid.
+    Derivatives of order up to BOUNDED_N_MAX are computed two ways:
+    componentwise lambda^n e^(lambda t) y0 and by n-fold application of A
+    to y(t); the norms must agree.  The exponential-type bound
+    ||y(z)|| <= ||y0|| e^(C|z|) with C = max|lambda| is sampled at
+    BOUNDED_GRID_POINTS random points of a complex disc.
     """
     lam = np.asarray(eigs, dtype=float)
     y0 = np.asarray(y0, dtype=complex)
@@ -358,7 +361,7 @@ def bounded_solution_check(eigs, y0, t: float, n_max: int = 12,
     yt = np.exp(lam * t) * y0
     worst = 0.0
     v = yt.copy()
-    for n in range(0, n_max + 1):
+    for n in range(0, BOUNDED_N_MAX + 1):
         direct = np.linalg.norm(lam**n * yt)
         iterated = np.linalg.norm(v)
         denom = max(direct, iterated, 1e-300)
@@ -366,8 +369,8 @@ def bounded_solution_check(eigs, y0, t: float, n_max: int = 12,
         v = lam * v
     C = float(np.max(np.abs(lam)))
     rng = np.random.default_rng(seed)
-    radii = rng.uniform(0.05, 3.0, grid_points)
-    angles = rng.uniform(0.0, 2.0 * math.pi, grid_points)
+    radii = rng.uniform(0.05, 3.0, BOUNDED_GRID_POINTS)
+    angles = rng.uniform(0.0, 2.0 * math.pi, BOUNDED_GRID_POINTS)
     zs = radii * np.exp(1j * angles)
     ny0 = np.linalg.norm(y0)
     margin = 0.0
@@ -377,8 +380,7 @@ def bounded_solution_check(eigs, y0, t: float, n_max: int = 12,
         margin = max(margin, np.linalg.norm(yz) / bound)
     return BoundedSolutionReport(max_rel_err=float(worst),
                                  exp_type_constant=C,
-                                 exp_type_margin=float(margin),
-                                 n_max=n_max)
+                                 exp_type_margin=float(margin))
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,8 @@ DEFAULT_P = 512
 
 # generator must reproduce stored logM to this relative slack
 GENERATOR_MATCH_RTOL = 1e-12
-# absolute slack of the structural predicates on ln M_p and ln mu_p
+# absolute floor of the structural predicates on ln M_p and ln mu_p; see
+# structure_tol for the floor that steps of ln mu_p are tested against
 STRUCTURE_TOL = 1e-12
 
 
@@ -235,22 +236,15 @@ def custom(logM, name: str = "custom") -> WeightSequence:
     return WeightSequence(name, arr, provenance="custom")
 
 
-def small_gevrey_family(alpha_of_beta: Callable[[float], float] = None,
-                        P: int = DEFAULT_P,
+def small_gevrey_family(P: int = DEFAULT_P,
                         name: str = "small-gevrey") -> SequenceFamily:
-    """Family beta -> gevrey(alpha(beta)) with alpha(beta) in [0, 1).
-
-    Default reparametrisation alpha = beta/(beta+1) covers all small Gevrey
-    orders as beta ranges over (0, inf).
-    """
-    if alpha_of_beta is None:
-        alpha_of_beta = lambda b: b / (b + 1.0)
+    """Family beta -> gevrey(beta) for small Gevrey orders beta in [0, 1)."""
 
     def maker(beta, PP):
-        a = alpha_of_beta(beta)
-        if not (0 <= a < 1):
-            raise InvalidSequenceError(f"family parameter maps outside [0,1): {a}")
-        return gevrey(a, PP)
+        if not (0 <= beta < 1):
+            raise InvalidSequenceError(
+                f"small-Gevrey order must lie in [0, 1), got {beta}")
+        return gevrey(beta, PP)
 
     return SequenceFamily(name, maker, P)
 
@@ -364,13 +358,27 @@ def root_sequence(M: WeightSequence) -> WeightSequence:
 # structural predicates used as preconditions (cheap, window-exact)
 # ---------------------------------------------------------------------------
 
+def structure_tol(M: WeightSequence, floor: float = STRUCTURE_TOL) -> float:
+    """floor, raised to 8 ulp of the window's largest |ln M_p|.
+
+    Quotients are differences of ln M_p, so a step of ln mu_p carries the
+    rounding of ln M_p: about 3e6 for q-Gevrey windows at P = 2048, 4e4 for
+    the dual of gevrey(2) at P = 10^4.  Every sign test on steps of ln mu_p
+    uses this one floor; a step below it is not resolved.
+    """
+    largest = max(float(M.logM.max()), -float(M.logM.min()))
+    return max(floor, 8.0 * np.finfo(float).eps * largest)
+
+
 def is_log_convex(M: WeightSequence) -> bool:
-    """M_p^2 <= M_{p-1} M_{p+1} for all p in the window."""
-    return bool(np.all(np.diff(quotients(M)[1:]) >= -STRUCTURE_TOL))
+    """M_p^2 <= M_{p-1} M_{p+1} for all p in the window, up to structure_tol."""
+    drop = float(np.diff(quotients(M)[1:]).min())
+    # the floor is at least STRUCTURE_TOL, so only a smaller step scales it
+    return drop >= -STRUCTURE_TOL or drop >= -structure_tol(M)
 
 
 def is_normalized(M: WeightSequence) -> bool:
-    """1 = M_0 <= M_1."""
+    """1 = M_0 <= M_1 (ln M_0 and ln M_1 are near 0: the plain floor)."""
     return abs(M.logM[0]) <= STRUCTURE_TOL and M.logM[1] >= -STRUCTURE_TOL
 
 
@@ -381,7 +389,7 @@ def in_lc_window(M: WeightSequence) -> bool:
     if not (is_normalized(M) and is_log_convex(M)):
         return False
     tail = quotients(M)[-max(4, M.P // 4):]
-    return bool(tail[-1] > math.log(1.5) and tail[-1] >= tail[0] - STRUCTURE_TOL)
+    return bool(tail[-1] > math.log(1.5) and tail[-1] >= tail[0] - structure_tol(M))
 
 
 # ---------------------------------------------------------------------------

@@ -44,22 +44,29 @@ def conjugate(M: WeightSequence) -> WeightSequence:
 # dual / bidual
 # ---------------------------------------------------------------------------
 
-def _counting_all(nu_values: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Sigma(t) = #{j >= 1 : nu_j <= t} for each target, nu non-decreasing.
+def _counted_logs(values: np.ndarray, P_out: int) -> np.ndarray:
+    """ln K_0..ln K_P_out of the sequence whose quotients count ``values``.
 
-    Ties are counted inclusively.  Quotients that are integers in exact
-    arithmetic (Gevrey order 1, dual sequences) come back from the log
-    domain with last-bit noise, so values within relative 1e-9 of an
-    integer are snapped before comparing against the integer targets.
+    kappa_{p+1} = max(Sigma(p), 1) for p >= values[0], kappa_{p+1} = 1 below
+    it and kappa_0 = kappa_1 = 1, where Sigma(p) = #{j >= 1 : v_j <= p} for
+    the non-decreasing values v_1, v_2, ...  Ties are counted inclusively.
+    Quotients that are integers in exact arithmetic (Gevrey order 1, dual
+    sequences) come back from the log domain with last-bit noise, so values
+    within relative 1e-9 of an integer are snapped before counting.
     """
-    # an infinite quotient exceeds every count: its inf - inf is NaN, which
+    # an infinite value exceeds every count: its inf - inf is NaN, which
     # fails the snap test and keeps the inf
     with np.errstate(over="ignore", invalid="ignore"):
-        nearest = np.rint(nu_values)
+        nearest = np.rint(values)
         snapped = np.where(
-            np.abs(nu_values - nearest) <= 1e-9 * np.maximum(1.0, np.abs(nearest)),
-            nearest, nu_values)
-    return np.searchsorted(snapped, targets, side="right")
+            np.abs(values - nearest) <= 1e-9 * np.maximum(1.0, np.abs(nearest)),
+            nearest, values)
+    ps = np.arange(1, P_out, dtype=float)  # p = 1..P_out-1 feeds kappa_{p+1}
+    counts = np.searchsorted(snapped, ps, side="right").astype(float)
+    logkappa = np.zeros(P_out + 1)
+    active = ps >= values[0]
+    logkappa[2:][active] = np.log(np.maximum(counts[active], 1.0))
+    return np.concatenate([[0.0], np.cumsum(logkappa[1:])])
 
 
 def dual(N: WeightSequence, P_out: int | None = None) -> WeightSequence:
@@ -70,16 +77,14 @@ def dual(N: WeightSequence, P_out: int | None = None) -> WeightSequence:
     window is chosen so every count uses only quotients whose values fit
     inside N's window (no truncation censoring).
     """
-    if not is_log_convex(N):
-        raise PreconditionError(f"dual: {N.name} is not log-convex on its window")
     if not in_lc_window(N):
         raise PreconditionError(
-            f"dual: {N.name} is not normalized with diverging quotients on its window")
-    lognu = quotients(N)
+            f"dual: {N.name} is not normalized and log-convex with diverging "
+            "quotients on its window")
     # nu_1..nu_P, non-decreasing; a quotient past float range is inf, which
     # exceeds every count, as it should
     with np.errstate(over="ignore"):
-        nu = np.exp(lognu[1:])
+        nu = np.exp(quotients(N)[1:])
     nu_max = nu[-1]
     # counts Sigma_N(p) are uncensored only for p <= nu_P
     hard_cap = int(min(nu_max, 2**62)) if math.isfinite(nu_max) else 2**62
@@ -94,15 +99,7 @@ def dual(N: WeightSequence, P_out: int | None = None) -> WeightSequence:
         raise CensoredWindowError(
             f"dual: counting range of {N.name} supports only p <= {P_out}; "
             "enlarge the input window", required_P=P_out)
-    ps = np.arange(1, P_out, dtype=float)  # p = 1..P_out-1 feeds delta_{p+1}
-    counts = _counting_all(nu, ps).astype(float)
-    logdelta = np.zeros(P_out + 1)
-    nu1 = nu[0]
-    active = ps >= nu1
-    logdelta[2:][active] = np.log(np.maximum(counts[active], 1.0))
-    # delta_0 = delta_1 = 1 and delta_{p+1} = 1 below nu_1 already zeros
-    logD = np.concatenate([[0.0], np.cumsum(logdelta[1:])])
-    return WeightSequence(f"dual[{N.name}]", logD,
+    return WeightSequence(f"dual[{N.name}]", _counted_logs(nu, P_out),
                           provenance=f"transform:dual({N.provenance})")
 
 
@@ -111,7 +108,9 @@ def bidual(N: WeightSequence, P_out: int | None = None) -> WeightSequence:
 
     epsilon_{p+1} = Sigma_D(p) for p >= delta_1 = 1, epsilon_0 = epsilon_1 = 1.
     The inner dual window is grown until its quotients exceed the requested
-    output range, so every count is uncensored.
+    output range, so every count is uncensored.  The outer count skips
+    dual's preconditions: the inner dual is log-convex and normalized by
+    construction, and re-checking it would scan its whole window.
     """
     if P_out is None:
         P_out = min(N.P, 2000)
@@ -138,17 +137,11 @@ def bidual(N: WeightSequence, P_out: int | None = None) -> WeightSequence:
                 required_P=2 * M.P)
         M = M.extended(2 * M.P)
     D = dual(M, P_out=P_inner)
-    logdelta = quotients(D)
-    delta = np.exp(logdelta[1:])  # non-decreasing
+    delta = np.exp(quotients(D)[1:])  # non-decreasing, delta_1 = 1
     if delta[-1] <= P_out:
         raise CensoredWindowError(
             f"bidual: dual quotients reach only {delta[-1]:.0f} <= {P_out}")
-    ps = np.arange(1, P_out, dtype=float)
-    counts = _counting_all(delta, ps).astype(float)
-    logeps = np.zeros(P_out + 1)
-    logeps[2:] = np.log(np.maximum(counts, 1.0))
-    logE = np.concatenate([[0.0], np.cumsum(logeps[1:])])
-    return WeightSequence(f"bidual[{N.name}]", logE,
+    return WeightSequence(f"bidual[{N.name}]", _counted_logs(delta, P_out),
                           provenance=f"transform:bidual({N.provenance})")
 
 

@@ -28,7 +28,8 @@ from scipy.special import gammaln
 from .errors import (CensoredWindowError, InvalidSequenceError,
                      PreconditionError, UntrustedEvaluationError)
 from .seqcore import (ClosedForm, LogPowerBound, WeightSequence,
-                      SequenceFamily, is_log_convex, little_m, quotients)
+                      SequenceFamily, _number, is_log_convex, little_m,
+                      quotients)
 
 LN2 = math.log(2.0)
 
@@ -322,6 +323,7 @@ def default_t_grid(M: WeightSequence, t_min: float = 1.0) -> np.ndarray:
     """Geometric grid of ratio 1.2 from t_min > 0 up to the trust bound
     (capped at e^60 for sequences whose windowed quotients already exceed
     float comfort)."""
+    t_min = _number(t_min, "default_t_grid: t_min")
     _require_finite("default_t_grid", t_min, "t_min")
     if t_min <= 0:
         raise InvalidSequenceError(f"default_t_grid: t_min must be > 0, got {t_min}")
@@ -556,7 +558,7 @@ def _member_bound_record(N: WeightSequence, a: WeightSequence) -> dict:
     growing = bool(ratio[-1] >= ratio.max() - 1e-12
                    and ratio[-1] > ratio[3 * P // 4] + 1e-9)
     if not growing:
-        return {"log_D": log_D, "argmax_j": arg, "certified": True}
+        return {"log_D": log_D, "argmax_j": arg}
     if n.generator is None or a.generator is None:
         raise PreconditionError(
             f"gauge: member {N.name} ratio still grows at the window end and "
@@ -581,7 +583,7 @@ def _member_bound_record(N: WeightSequence, a: WeightSequence) -> dict:
             f"{a.name} (ratio still growing at j={MEMBER_PROBE_JMAX:.0e})")
     peak_j = _ternary_max(ratio_at, *turned, 200)
     log_D = max(log_D, ratio_at(peak_j))
-    return {"log_D": log_D, "argmax_j": peak_j, "certified": True}
+    return {"log_D": log_D, "argmax_j": peak_j}
 
 
 def build_gauge(a: WeightSequence,

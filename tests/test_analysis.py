@@ -284,7 +284,7 @@ def test_matuszewska_unbounded_and_conjugate_reciprocity():
 # ---------------------------------------------------------------------------
 
 def test_mixed_om1():
-    fam = sc.small_gevrey_family(alpha_of_beta=lambda b: b, P=1024)
+    fam = sc.small_gevrey_family(P=1024)
     v = an.mixed_om1_check(fam, [(0.3, 0.6), (0.1, 0.9)])
     assert v.holds
     v_eq = an.mixed_om1_check(fam, [(0.4, 0.4)])

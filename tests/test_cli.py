@@ -83,6 +83,14 @@ def test_transform_dual_dual(tmp_path):
     assert "bidual" in E.name
 
 
+def test_transform_dual_of_dual(tmp_path):
+    # the dual's integer counts pass the log-convexity floor of its own window
+    out = tmp_path / "dd.json"
+    assert run(["transform", "gevrey:2", "dual", "dual", "--P", "600",
+                "--out", str(out)]) == 0
+    assert sc.load_sequence(out).name == "dual[dual[gevrey(2)]]"
+
+
 def test_transform_empty_chain_is_copy(tmp_path):
     out = tmp_path / "copy.json"
     assert run(["transform", "gevrey:0.5", "--out", str(out)]) == 0

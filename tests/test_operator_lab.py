@@ -154,7 +154,7 @@ def test_membership_mode_validation(minimal_model):
 # ---------------------------------------------------------------------------
 
 def test_bounded_solution_identity_case():
-    rep = ol.bounded_solution_check([1.0, -1.0], [1.0, 0.0], 0.0, n_max=12)
+    rep = ol.bounded_solution_check([1.0, -1.0], [1.0, 0.0], 0.0)
     assert rep.max_rel_err <= 1e-12
     assert rep.exp_type_constant == 1.0
     assert rep.exp_type_margin <= 1.0 + 1e-12
@@ -166,7 +166,7 @@ def test_bounded_solution_scalar_example():
     y1 = math.exp(2.0)
     d3 = (lam**3 * np.exp(lam * 1.0) * np.array([1.0]))[0]
     assert d3 == pytest.approx(8 * math.exp(2.0), rel=1e-12)
-    rep = ol.bounded_solution_check(lam, [1.0], 1.0, n_max=12)
+    rep = ol.bounded_solution_check(lam, [1.0], 1.0)
     assert rep.max_rel_err <= 1e-12
 
 
@@ -175,7 +175,7 @@ def test_bounded_solution_random_diag():
     eigs = np.sort(rng.uniform(-2, 2, 8))
     y0 = rng.normal(size=8)
     for t in (0.0, 0.3, 1.0):
-        rep = ol.bounded_solution_check(eigs, y0, t, n_max=12, grid_points=100)
+        rep = ol.bounded_solution_check(eigs, y0, t)
         assert rep.max_rel_err <= 1e-9
         assert rep.exp_type_margin <= 1.0 + 1e-9
     with pytest.raises(InvalidSequenceError):

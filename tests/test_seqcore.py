@@ -289,6 +289,8 @@ def test_json_non_numeric_window_rejected(tmp_path, doc):
     lambda: wt.default_t_grid(sc.gevrey(2), t_min=math.nan),
     lambda: wt.default_t_grid(sc.gevrey(2), t_min=-1.0),
     lambda: wt.default_t_grid(sc.gevrey(2), t_min=0.0),
+    lambda: wt.default_t_grid(sc.gevrey(2), t_min="a"),
+    lambda: wt.default_t_grid(sc.gevrey(2), t_min=None),
     lambda: an.matuszewska(sc.quotients(sc.gevrey(1.5, P=64)), p0=0),
     lambda: an.matuszewska(sc.quotients(sc.gevrey(1.5, P=64)), p0=-1),
     lambda: an.matuszewska(sc.quotients(sc.gevrey(1.5, P=64)), p0=1.5),
@@ -296,7 +298,8 @@ def test_json_non_numeric_window_rejected(tmp_path, doc):
     lambda: an.matuszewska(np.zeros((40, 40))),
     lambda: sc.factorial_shift(sc.gevrey(1), math.inf),
     lambda: sc.factorial_shift(sc.gevrey(1), -math.inf),
-], ids=["grid-nan", "grid-negative", "grid-zero", "matuszewska-p0-zero",
+], ids=["grid-nan", "grid-negative", "grid-zero", "grid-string", "grid-none",
+        "matuszewska-p0-zero",
         "matuszewska-p0-negative", "matuszewska-p0-fraction",
         "matuszewska-non-numeric", "matuszewska-2d", "shift-inf",
         "shift-minus-inf"])
@@ -321,3 +324,40 @@ def test_structural_predicates():
     assert not sc.in_lc_window(sc.gevrey(0))   # quotients do not diverge
     bumps = sc.custom([0, 1, 0, 3, 4, 5, 6, 7, 8, 9])
     assert not sc.is_log_convex(bumps)
+
+
+def test_structure_tol_scales_with_the_window():
+    # the absolute floor on small windows, 8 ulp of max |ln M_p| on large ones
+    assert sc.structure_tol(sc.gevrey(1, P=16)) == sc.STRUCTURE_TOL
+    Q = sc.qgevrey(2, P=2048)
+    assert sc.structure_tol(Q) == 8 * np.finfo(float).eps * Q.logM[-1]
+    assert sc.structure_tol(Q, 1e-3) == 1e-3
+
+
+def _constant_quotients_with_drop(drop):
+    # ln mu_p = 10 for p < 500 and 10 - drop from p = 500 on, P = 1000
+    logmu = np.full(1001, 10.0)
+    logmu[0] = 0.0
+    logmu[500:] -= drop
+    return sc.from_quotients(logmu)
+
+
+def test_is_log_convex_resolves_twice_the_floor():
+    flat = _constant_quotients_with_drop(0.0)
+    tol = sc.structure_tol(flat)
+    assert tol > sc.STRUCTURE_TOL and sc.is_log_convex(flat)
+    dropped = _constant_quotients_with_drop(2 * tol)
+    assert not sc.is_log_convex(dropped)
+    assert an.check_property(dropped, "lc").witness["p"] == 499
+    # the stated limit: a drop below the floor is not resolved
+    assert sc.is_log_convex(_constant_quotients_with_drop(0.5 * tol))
+
+
+def test_dual_with_a_count_lowered_is_refused():
+    D = tr.dual(sc.gevrey(2), P_out=10_000)
+    assert sc.is_log_convex(D)
+    logdelta = sc.quotients(D)
+    logdelta[5000] = math.log(math.exp(logdelta[5000]) - 1.0)
+    mutant = sc.from_quotients(logdelta)
+    assert not sc.is_log_convex(mutant)
+    assert an.check_property(mutant, "lc").fails

@@ -103,10 +103,16 @@ def test_dual_gevrey2_against_oracle():
 
 
 def test_dual_head_and_lc():
-    for M in (sc.gevrey(1), sc.gevrey(2), sc.gevrey(3), sc.qgevrey(2)):
-        D = tr.dual(M, P_out=200)
+    # the counts are integers: at P_out = 10 000 their logs sum to ~4e4, and
+    # the log-convexity floor must sit above the rounding of that sum
+    cases = [(M, 200) for M in (sc.gevrey(1), sc.gevrey(2), sc.gevrey(3),
+                                sc.qgevrey(2))]
+    cases += [(M, 10_000) for M in (sc.gevrey(2), sc.gevrey(3), sc.qgevrey(2))]
+    for M, P_out in cases:
+        D = tr.dual(M, P_out=P_out)
         assert D.logM[0] == 0.0 and D.logM[1] == 0.0
         assert sc.is_log_convex(D)
+        assert sc.in_lc_window(D)
 
 
 def test_dual_gevrey1_is_shifted_factorial():
@@ -273,6 +279,15 @@ def test_hull_forced_example():
 def test_hull_identity_on_convex():
     G = sc.gevrey(2, P=32)
     assert np.max(np.abs(tr.log_convex_minorant(G).logM - G.logM)) <= 1e-12
+
+
+def test_hull_of_noisy_gevrey_is_log_convex():
+    rng = np.random.default_rng(0)
+    G = sc.gevrey(1.5, P=2048)
+    noisy = sc.custom(G.logM + 1e-3 * rng.standard_normal(G.P + 1))
+    H = tr.log_convex_minorant(noisy)
+    assert sc.is_log_convex(H)
+    assert np.all(H.logM <= noisy.logM)
 
 
 @given(finite_logs)

@@ -277,7 +277,6 @@ def test_markin_gauge_growth_and_members():
     assert gauge.decay_certified
     assert gauge.g(1e3) < gauge.g(1e4) < gauge.g(1e5)
     assert set(gauge.D_map) == {m.name for m in members}
-    assert all(rec["certified"] for rec in gauge.D_map.values())
     # the 0.9-member peak sits far beyond any window
     assert gauge.D_map["gevrey(0.9)"]["argmax_j"] > 1e12
     # log-domain evaluation is consistent with the direct one
@@ -375,8 +374,7 @@ def test_divergence_margin():
 # ---------------------------------------------------------------------------
 
 def direct_family(P):
-    return sc.small_gevrey_family(alpha_of_beta=lambda b: b, P=P,
-                                  name="small-gevrey-direct")
+    return sc.small_gevrey_family(P=P, name="small-gevrey-direct")
 
 
 def test_uniform_bound_k3_succeeds_at_5000():
