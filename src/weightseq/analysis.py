@@ -81,9 +81,8 @@ def _block_minima_nondecreasing(x: np.ndarray, n_blocks: int = 6,
                                 tol: float = 1e-9) -> bool:
     """Envelope trend for noisy statistics (integer-valued quotients carry
     floor jitter): minima over consecutive blocks must not decrease."""
-    blocks = [b for b in np.array_split(x, n_blocks) if b.size]
-    mins = [float(b.min()) for b in blocks]
-    return all(mins[i + 1] >= mins[i] - tol for i in range(len(mins) - 1))
+    mins = [float(b.min()) for b in np.array_split(x, n_blocks) if b.size]
+    return all(b >= a - tol for a, b in zip(mins, mins[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -315,14 +314,17 @@ def _check_momega1(M):
         # plateau: residual wiggle is small against the distance to the
         # threshold, so a later dip below it would need a trend reversal
         plateau = (t_max - t_min) <= 0.25 * t_min
-        if (trending_up or plateau) and t_min > 1e-9:
+        # a statistic falling like 1/ln j (q-Gevrey duals) rises inside the
+        # tail's step-constant stretches: its fall from one L-fold earlier,
+        # over twice the window's L-folds, must stay below t_min (README)
+        lo = (hi - len(tail)) // L
+        fall = max(0.0, float(diff[lo:max(lo + 1, hi // L)].min()) - t_min)
+        if (trending_up or plateau) and t_min > max(1e-9, 2 * math.log(hi, L) * fall):
             return Verdict("holds", {"L": L, "liminf_log_lower": t_min,
                                      "certificate": "trend" if trending_up
                                      else "plateau"}, (1, hi))
-        if _nonincreasing(tail, 1e-9) and t_max < -1e-9:
-            results[L] = "below"
-        else:
-            results[L] = "undecided"
+        results[L] = ("below" if _nonincreasing(tail, 1e-9) and t_max < -1e-9
+                      else "undecided")
     if results and all(v == "below" for v in results.values()):
         return Verdict("fails", {"tested_L": list(results)}, (1, M.P // 2))
     return Verdict("inconclusive", {"tested_L": results}, (1, M.P // 2))

@@ -184,6 +184,15 @@ def test_om1_and_momega1():
     assert an.check_property(D3, "om1").holds
 
 
+@pytest.mark.parametrize("q", [1.5, 2.0, 3.0])
+def test_momega1_not_certified_on_qgevrey_dual(q):
+    # delta_p ~ ln p / (2 ln q): the root-ratio statistic falls like 1/ln j
+    # to 0, although it rises inside the window's step-constant tail
+    D = tr.dual(sc.qgevrey(q, P=600))
+    for prop in ("momega1", "om1"):
+        assert an.check_property(D, prop).status != "holds"
+
+
 def test_log_concave_m_iff_conjugate_lc():
     fixtures = [sc.gevrey(0), sc.gevrey(0.25), sc.gevrey(0.5), sc.gevrey(1),
                 sc.gevrey(2), sc.qgevrey(2)]
