@@ -84,27 +84,21 @@ def _cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-_TRANSFORMS = ("conjugate", "dual", "bidual", "regularize", "normalize-head",
-               "lcm", "m", "root")
+_TRANSFORMS = {
+    "conjugate": transforms.conjugate,
+    "dual": transforms.dual,
+    "bidual": transforms.bidual,
+    "regularize": lambda M: transforms.regularize_almost_decreasing(M).L,
+    "normalize-head": lambda M: transforms.normalize_head(M).L,
+    "lcm": transforms.log_convex_minorant,
+    "m": seqcore.little_m,
+    "root": seqcore.root_sequence,
+}
 
 
 def _apply_transform(M, name):
-    if name == "conjugate":
-        return transforms.conjugate(M)
-    if name == "dual":
-        return transforms.dual(M)
-    if name == "bidual":
-        return transforms.bidual(M)
-    if name == "regularize":
-        return transforms.regularize_almost_decreasing(M).L
-    if name == "normalize-head":
-        return transforms.normalize_head(M).L
-    if name == "lcm":
-        return transforms.log_convex_minorant(M)
-    if name == "m":
-        return seqcore.little_m(M)
-    if name == "root":
-        return seqcore.root_sequence(M)
+    if name in _TRANSFORMS:
+        return _TRANSFORMS[name](M)
     if name.startswith("shift:"):
         return seqcore.factorial_shift(M, name.split(":", 1)[1])
     raise InvalidSequenceError(

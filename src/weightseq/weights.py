@@ -155,65 +155,43 @@ def omega(M: WeightSequence, t: float) -> OmegaValue:
 
 
 def omega_extended(M: WeightSequence, t: float) -> OmegaValue:
-    """Closed-form-backed omega for log-convex M, valid far beyond the window.
+    """omega for log-convex M, valid far beyond the window.
 
-    Uses the step structure: the supremum is attained at the largest p with
-    mu_p <= t.  Requires a ClosedForm generator (its quotients are exact
-    where a difference of log-factorials would cancel) and non-decreasing
-    quotients.
+    The window value where omega trusts it; otherwise the term at the
+    largest p with mu_p <= t and that p, from the step search of omega_mp,
+    read as a float.  Past the window it requires a log-convex M with a
+    ClosedForm generator (its quotients are exact where a difference of
+    log-factorials would cancel).
     """
     _require_finite("omega_extended", t)
     if t <= 0:
         return OmegaValue(0.0, 0, True)
-    valid = valid_to(M)
-    if t <= valid:
-        res = omega(M, t)
-        if res.trusted:
-            return res
-    form = M.generator
-    if not isinstance(form, ClosedForm):
-        raise UntrustedEvaluationError(
-            f"omega: t={t:g} beyond trusted range of {M.name} and no closed form")
-    if not is_log_convex(M):
-        raise PreconditionError(
-            f"omega_extended: {M.name} is not log-convex; cannot use step search")
-    logt = math.log(t)
-
-    def logquot(p):
-        return float(form.log_mu(p))
-
-    if logquot(1) > logt:
-        return OmegaValue(0.0, 0, True)
-    bracket = _bracket_bisect(lambda p: logquot(p) <= logt, 1, 2, 2**62, 0)
-    if bracket is None:
-        raise UntrustedEvaluationError(
-            f"omega: quotients of {M.name} never exceed t={t:g} (supremum censored)")
-    lo, hi = bracket  # integer halving: real midpoints past 2^53 are not integers
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if logquot(mid) <= logt:
-            lo = mid
-        else:
-            hi = mid
-    value = lo * logt - float(form(lo))
-    return OmegaValue(max(value, 0.0), lo, True)
+    res = omega(M, t)
+    if res.trusted:
+        return res
+    term, p = _omega_step(M, math.log(t))
+    return OmegaValue(float(term), int(p), True)
 
 
 def _step_term(form: ClosedForm, logt, p_star):
-    """max(0, q ln t - ln M_q) over q = p_star - 1, p_star, p_star + 1 with
-    mu_q <= t, or None when no q passes that check."""
+    """(max(0, q ln t - ln M_q), q) over q = p_star - 1, p_star, p_star + 1
+    with mu_q <= t, (0, 0) when no such term is positive, or None when no
+    q passes that check."""
     import mpmath as mp
 
     best = None
     for q in (p_star - 1, p_star, p_star + 1):
         if q >= 1 and form.log_mu_mp(q) <= logt:
-            best = max(mp.mpf(0) if best is None else best,
-                       q * logt - form.log_M_mp(q))
+            term = q * logt - form.log_M_mp(q)
+            if best is None:
+                best = (mp.mpf(0), 0)
+            if term > best[0]:
+                best = (term, q)
     return best
 
 
 def _omega_mp_bisect(M: WeightSequence, logt):
-    """omega_mp by bisection on ln p: the fallback and the test oracle."""
+    """_omega_step by bisection on ln p: the fallback and the test oracle."""
     import mpmath as mp
 
     form = M.generator
@@ -224,7 +202,7 @@ def _omega_mp_bisect(M: WeightSequence, logt):
         raise UntrustedEvaluationError(
             f"omega_mp: quotients of {M.name} never exceed the argument")
     best = _step_term(form, logt, mp.floor(mp.exp(bracket[0])))
-    return mp.mpf(0) if best is None else best
+    return (mp.mpf(0), 0) if best is None else best
 
 
 def omega_mp(M: WeightSequence, log_t):
@@ -245,6 +223,11 @@ def omega_mp(M: WeightSequence, log_t):
     that where it is lower.
     ln t = -inf (t = 0) gives 0; NaN and +inf are refused.
     """
+    return _omega_step(M, log_t)[0]
+
+
+def _omega_step(M: WeightSequence, log_t):
+    """(term, p) of omega_mp: the term and the step index it is taken at."""
     import mpmath as mp
 
     if log_t != -math.inf:
@@ -256,7 +239,7 @@ def omega_mp(M: WeightSequence, log_t):
     if not is_log_convex(M):
         raise PreconditionError(f"omega_mp: {M.name} is not log-convex")
     if form.log_mu_mp(1) > log_t:
-        return mp.mpf(0)
+        return mp.mpf(0), 0
     a = form.a if form.a > 0 else 1.0  # a <= 0: ln p* ~ ln ln t, well covered
     dps = OMEGA_MP_DIGITS + math.ceil(math.log10(abs(float(log_t)) + a)
                                       - math.log10(a))
@@ -531,11 +514,6 @@ class GrowthGauge:
             return 0.5 * (self.log_h(log_t - LN2) - log_t)
         _require_finite("log_g", log_t, "ln t")
         return 0.5 * (self._astronomic_peak(log_t - 2.0 * LN2) - 2.0 * LN2)
-
-    def dump_rows(self, k_max: int) -> list:
-        ks = np.arange(k_max + 1)
-        la = self._log_a(ks.astype(float))
-        return [(int(k), float(v)) for k, v in zip(ks, la)]
 
 
 MEMBER_PROBE_JMAX = 1e18

@@ -99,6 +99,10 @@ def test_transform_empty_chain_is_copy(tmp_path):
 
 
 def test_transform_unknown_step(tmp_path, capsys):
+    assert run(["transform", "gevrey:2", "sideways"]) == 1
+    assert capsys.readouterr().err == (
+        "error: unknown transform 'sideways'; known: conjugate, dual, bidual, "
+        "regularize, normalize-head, lcm, m, root, shift:s\n")
     assert run(["transform", "gevrey:0.5", "frobnicate"]) == 1
     # malformed numbers in a spec or a step end in an error line, exit 1
     assert run(["analyze", "gevrey:abc"]) == 1

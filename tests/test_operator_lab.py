@@ -94,6 +94,23 @@ def test_weighted_sum_divergence(minimal_model):
         ol.weighted_class_sum(model, vec, sc.gevrey(0.5), 0.0)
 
 
+def test_weighted_sum_window_only_sequence():
+    # a custom window has no closed form: terms inside valid_to read the
+    # window, a term past it is refused
+    M = sc.custom(sc.gevrey(0.5, P=64).logM)
+    lam = np.array([1.0, 2.0, 4.0])
+    model, vec = ol.from_floats(lam, -lam)
+    t = 0.5 * wt.valid_to(M) / lam[-1]
+    rep = ol.weighted_class_sum(model, vec, M, t)
+    for i in range(lam.size):
+        assert float(rep.term_logs[i]) == pytest.approx(
+            2 * float(vec.logc[i]) + 2 * wt.omega(M, t * lam[i]).value,
+            rel=1e-12)
+    with pytest.raises(UntrustedEvaluationError) as exc:
+        ol.weighted_class_sum(model, vec, M, 4 * t)
+    assert exc.value.required_P == 4 * M.P
+
+
 def test_scaling_leaves_verdicts(minimal_model):
     model, vec = minimal_model
     scaled = vec.scaled(123.5)

@@ -102,6 +102,15 @@ def test_omega_extended():
         r.argmax * math.log(t) - 0.5 * math.lgamma(r.argmax + 1), rel=1e-12)
     with pytest.raises(UntrustedEvaluationError):
         wt.omega_extended(sc.gevrey(0), 2.0)
+    # a mixed form has no inverse quotient: the step index comes from the
+    # bisection on ln p (at P = 64, a t past the window is still a float)
+    M = sc.factorial_shift(sc.qgevrey(2, P=64), 1)
+    t = math.exp(math.log(wt.valid_to(M)) + 3.0)
+    r = wt.omega_extended(M, t)
+    assert r.trusted and r.argmax == 66
+    assert r.value == float(wt.omega_mp(M, math.log(t)))
+    with pytest.raises(PreconditionError):
+        wt.omega_extended(tr.conjugate(sc.qgevrey(2)), 1e6)
 
 
 def test_omega_mp_agrees_with_extended():
@@ -116,16 +125,19 @@ def test_omega_mp_agrees_with_extended():
 
 
 def test_omega_extended_far_past_window_matches_omega_mp():
-    # step indices ~1.7e12 (+5) and ~3.8e16 (+8): a log-factorial
-    # difference there loses the quotient, the closed form does not
+    # step indices ~1.7e12 (+5), ~3.8e16 (+8), ~5e26 (+15) and ~8e62 (+40):
+    # a log-factorial difference there loses the quotient, the closed form
+    # does not, and the step index is not capped
     import mpmath as mp
     M = sc.gevrey(0.3, P=10**5)
     log_vt = math.log(wt.valid_to(M))
-    for span in (5.0, 8.0):
+    for span in (5.0, 8.0, 15.0, 40.0):
         r = wt.omega_extended(M, math.exp(log_vt + span))
         with mp.workdps(50):
             ref = float(wt.omega_mp(M, log_vt + span))
         assert r.trusted and abs(r.value - ref) <= 1e-12 * ref
+        if span > 8.0:
+            assert r.argmax > 2**62
 
 
 def test_omega_extended_needs_closed_form():
@@ -160,7 +172,7 @@ def test_omega_mp_inverse_quotient_against_bisection(spec):
     with mp.workdps(50):
         for log_t in (3.0, 50.0, 1e4, 1e10, 1e15):
             fast = wt.omega_mp(M, log_t)
-            ref = wt._omega_mp_bisect(M, mp.mpf(log_t))
+            ref = wt._omega_mp_bisect(M, mp.mpf(log_t))[0]
             assert fast >= ref * (1 - mp.mpf("1e-40"))
             assert abs(fast - ref) <= mp.mpf("1e-9") * ref
             assert fast > 0 or ref == 0
@@ -179,7 +191,7 @@ def test_omega_mp_steps_down_where_p_star_is_unresolved(alpha, log_t):
         assert p_hat + 1 == p_hat
         assert wt._step_term(M.generator, logt, p_hat) is None
         fast = wt.omega_mp(M, log_t)
-        ref = wt._omega_mp_bisect(M, logt)
+        ref = wt._omega_mp_bisect(M, logt)[0]
         assert ref > 0 and fast >= ref * (1 - mp.mpf("1e-40"))
         assert abs(fast - ref) <= mp.mpf("1e-9") * ref
 
@@ -190,7 +202,7 @@ def test_omega_mp_mixed_form_takes_the_bisection():
     assert M.generator.inverse_mu_mp(mp.mpf(10)) is None
     with mp.workdps(50):
         for log_t in (50.0, 1e4, 1e10):
-            assert wt.omega_mp(M, log_t) == wt._omega_mp_bisect(M, mp.mpf(log_t))
+            assert wt.omega_mp(M, log_t) == wt._omega_mp_bisect(M, mp.mpf(log_t))[0]
 
 
 def test_omega_mp_mpmath_call_count(monkeypatch):
@@ -277,6 +289,10 @@ def test_markin_gauge_growth_and_members():
     assert gauge.decay_certified
     assert gauge.g(1e3) < gauge.g(1e4) < gauge.g(1e5)
     assert set(gauge.D_map) == {m.name for m in members}
+    # the bound's head: ln a_0 = 0, ln a_2 = -2 ln ln 2
+    head = wt.markin_bound(64).logM
+    assert head[0] == 0.0
+    assert head[2] == pytest.approx(-2 * math.log(math.log(2.0)), abs=1e-12)
     # the 0.9-member peak sits far beyond any window
     assert gauge.D_map["gevrey(0.9)"]["argmax_j"] > 1e12
     # log-domain evaluation is consistent with the direct one
@@ -288,14 +304,6 @@ def test_markin_gauge_growth_and_members():
 def test_gauge_rejects_unbounded_member():
     with pytest.raises(PreconditionError):
         wt.build_gauge(wt.markin_bound(512), [sc.qgevrey(2)])
-
-
-def test_gauge_dump_rows():
-    gauge = wt.build_gauge(wt.markin_bound(64))
-    rows = gauge.dump_rows(16)
-    assert rows[0] == (0, 0.0)
-    assert rows[2][1] == pytest.approx(-2 * math.log(math.log(2.0)), abs=1e-12)
-    assert len(rows) == 17
 
 
 def test_gauge_on_window_only_bound_has_no_astronomic_range():
