@@ -12,14 +12,13 @@ margin, or exact structure.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field, asdict
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import InvalidSequenceError, PreconditionError, WeightSeqError
-from .seqcore import (SequenceFamily, WeightSequence, _float_array,
+from .seqcore import (SequenceFamily, WeightSequence, _float_array, _integer,
                       is_log_convex, is_normalized, little_m, quotients,
                       structure_tol)
 from .transforms import dual
@@ -467,9 +466,7 @@ def matuszewska(a, side: str = "upper", p0: int = 8) -> IndexEstimate:
     loga = _float_array(a, "matuszewska input")
     if loga.ndim != 1:
         raise InvalidSequenceError("matuszewska: input must be one-dimensional")
-    if not (isinstance(p0, numbers.Integral) and p0 >= 1):
-        raise InvalidSequenceError(
-            f"matuszewska: p0 must be an integer >= 1, got {p0!r}")
+    p0 = _integer(p0, "matuszewska: p0", 1)
     n = loga.size - 1
     hi = n // 2
     if hi <= p0:

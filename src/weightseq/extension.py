@@ -25,7 +25,7 @@ from scipy.special import gammaln
 
 from .errors import (CensoredWindowError, InvalidSequenceError,
                      UntrustedEvaluationError)
-from .seqcore import WeightSequence, quotients
+from .seqcore import WeightSequence, _integer, quotients
 from .transforms import conjugate
 from .weights import omega
 
@@ -65,8 +65,8 @@ class CoefficientFunction:
 
     def log_radial_majorant(self, t: float) -> float:
         """ln sum_k |b_k| t^k by log-sum-exp."""
-        if t < 0:
-            raise InvalidSequenceError("radius must be >= 0")
+        if not (0 <= t < math.inf):
+            raise InvalidSequenceError(f"radius must be finite and >= 0, got {t}")
         if t == 0.0:
             return float(self.logc[0])
         k = np.arange(self.K + 1, dtype=float)
@@ -82,6 +82,8 @@ class CoefficientFunction:
         F^(n)(x) = sum_{j>=n} b_j j!/(j-n)! x^(j-n); positive and negative
         contributions are accumulated separately in log domain.
         """
+        if not math.isfinite(x):
+            raise InvalidSequenceError(f"derivative point x must be finite, got {x}")
         if n > self.K:
             return NEG_INF
         j = np.arange(n, self.K + 1, dtype=float)
@@ -186,8 +188,9 @@ def cauchy_restriction_bound(F: CoefficientFunction, Mstar: WeightSequence,
     the Cauchy radius actually used.  M is recovered from the conjugate:
     M_n = n!/M*_n.
     """
-    if A <= 0 or k <= 0 or n < 0:
-        raise InvalidSequenceError("need A > 0, k > 0, n >= 0")
+    n = _integer(n, "cauchy restriction: derivative order n", 0)
+    if A <= 0 or k <= 0:
+        raise InvalidSequenceError("need A > 0, k > 0")
     if n + 1 > Mstar.P:
         raise CensoredWindowError(f"n={n} outside conjugate window", required_P=n + 1)
     logmu_star = quotients(Mstar)

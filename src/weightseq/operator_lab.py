@@ -26,11 +26,13 @@ import numpy as np
 
 from .errors import (InvalidSequenceError, PreconditionError,
                      UntrustedEvaluationError)
-from .seqcore import ClosedForm, WeightSequence, gevrey
+from .seqcore import ClosedForm, WeightSequence, _integer, gevrey
 from .weights import (GrowthGauge, _bracket_bisect, _require_finite,
-                      build_gauge, markin_bound, omega, omega_mp, valid_to)
+                      build_gauge, markin_bound, omega, omega_mp)
 
 MP_DPS = 50
+# ln of the largest float: e^x overflows past it
+LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 INTEGER_EXACT_LIMIT = 2.0**53
 # the threshold search for ln k(n) gives up past this
 COUNTEREXAMPLE_SEARCH_CAP = 1e16
@@ -86,13 +88,13 @@ class SpectralVector:
         return SpectralVector(tuple(c + lf for c in self.logc))
 
     def l2_report(self) -> dict:
-        """Partial sum of |c_n|^2 (log) and the largest successive term ratio."""
-        logs = [2 * c for c in self.logc]
-        total = _lse(logs)
-        ratios = [_ratio(logs[i], logs[i + 1]) for i in range(len(logs) - 1)]
-        worst = max(ratios) if ratios else mp.mpf(-mp.inf)
-        return {"log_sum": total, "max_log_ratio": worst,
-                "summable": bool(worst < 0)}
+        """Partial sum of |c_n|^2 (log), its largest tail log-ratio, and
+        whether the series certificate calls the sum converged (False: not
+        certified)."""
+        rep = _certify([2 * c for c in self.logc], 0.0)
+        return {"log_sum": rep.log_partial_sum,
+                "max_log_ratio": rep.max_tail_log_ratio,
+                "summable": rep.converged}
 
 
 _LSE_GAP = mp.mpf(-10000)  # exp of anything below this cannot move the sum
@@ -141,7 +143,8 @@ def build_counterexample(gauge: GrowthGauge, n_terms: int = 120,
     if not gauge.decay_certified:
         raise PreconditionError(
             "counterexample needs a gauge with certified a_k^(1/k) decay")
-    if n_terms < 1 or n_terms > 200:
+    n_terms = _integer(n_terms, "n_terms", 1)
+    if n_terms > 200:
         raise InvalidSequenceError("n_terms must be in 1..200")
     _require_finite("build_counterexample", log_g_floor, "log_g_floor")
     _require_finite("build_counterexample", log_g_slope, "log_g_slope")
@@ -223,15 +226,10 @@ def _certify(term_logs, t: float) -> SpectralSumReport:
     tail_ratios = [_ratio(term_logs[i], term_logs[i + 1]) for i in range(q - 1, n - 1)]
     max_ratio = max(tail_ratios) if tail_ratios else mp.mpf(-mp.inf)
     converged = bool(max_ratio <= -mp.log(2) + mp.mpf("1e-12"))
-    diverged_from = None
-    for start in range(n):
-        if all(term_logs[m] >= 0 for m in range(start, n)):
-            diverged_from = start + 1
-            break
-    if diverged_from is not None and diverged_from >= n:
-        diverged_from = None
-    if converged:
-        diverged_from = None
+    start = n  # 0-based start of the run of terms >= 1 that ends the list
+    while start > 0 and term_logs[start - 1] >= 0:
+        start -= 1
+    diverged_from = start + 1 if start < n - 1 and not converged else None
     return SpectralSumReport(
         log_partial_sum=_lse(list(term_logs)),
         term_logs=tuple(term_logs),
@@ -271,20 +269,21 @@ def weighted_class_sum(model: DiagonalOperatorModel, f: SpectralVector,
     if f.n_terms != model.n_terms:
         raise InvalidSequenceError("vector/model size mismatch")
     log_t = math.log(t)
-    trust = valid_to(M)
     with mp.workdps(MP_DPS):
         terms = []
         for i in range(model.n_terms):
             log_arg = log_t + float(model.loglam[i])
             if isinstance(M.generator, ClosedForm):
                 w = omega_mp(M, log_arg)
-            elif log_arg <= math.log(trust):
-                w = mp.mpf(omega(M, math.exp(log_arg)).value)
             else:
-                raise UntrustedEvaluationError(
-                    f"omega of {M.name} untrusted at ln(t*lambda)={log_arg:.3g}; "
-                    f"enlarge P beyond {M.P} or provide a closed form",
-                    required_P=4 * M.P)
+                res = (omega(M, math.exp(log_arg))
+                       if log_arg < LOG_FLOAT_MAX else None)
+                if res is None or not res.trusted:
+                    raise UntrustedEvaluationError(
+                        f"omega of {M.name} untrusted at ln(t*lambda)={log_arg:.3g}; "
+                        f"enlarge P beyond {M.P} or provide a closed form",
+                        required_P=4 * M.P)
+                w = mp.mpf(res.value)
             terms.append(2 * f.logc[i] + 2 * w)
         return _certify(terms, t)
 
@@ -340,6 +339,7 @@ class BoundedSolutionReport:
 
 BOUNDED_N_MAX = 12
 BOUNDED_GRID_POINTS = 100
+BOUNDED_DISC_RADIUS = 3.0
 
 
 def bounded_solution_check(eigs, y0, t: float,
@@ -350,7 +350,9 @@ def bounded_solution_check(eigs, y0, t: float,
     componentwise lambda^n e^(lambda t) y0 and by n-fold application of A
     to y(t); the norms must agree.  The exponential-type bound
     ||y(z)|| <= ||y0|| e^(C|z|) with C = max|lambda| is sampled at
-    BOUNDED_GRID_POINTS random points of a complex disc.
+    BOUNDED_GRID_POINTS random points of a complex disc of radius
+    BOUNDED_DISC_RADIUS.  Inputs whose squared norms would overflow a float
+    are refused.
     """
     lam = np.asarray(eigs, dtype=float)
     y0 = np.asarray(y0, dtype=complex)
@@ -358,6 +360,19 @@ def bounded_solution_check(eigs, y0, t: float,
         raise InvalidSequenceError("eigenvalue/vector size mismatch")
     if not (np.all(np.isfinite(lam)) and np.all(np.isfinite(y0)) and math.isfinite(t)):
         raise InvalidSequenceError("eigenvalues, vector and t must be finite")
+    C = float(np.max(np.abs(lam)))
+    # the largest intermediate is |lambda^n e^(lambda z) y0|^2 summed, with
+    # n <= BOUNDED_N_MAX and |z| <= max(|t|, BOUNDED_DISC_RADIUS)
+    log_peak = (C * max(abs(t), BOUNDED_DISC_RADIUS)
+                + BOUNDED_N_MAX * math.log(max(C, 1.0))
+                + math.log(max(float(np.max(np.abs(y0))), 1.0)))
+    if 2 * log_peak + math.log(lam.size) >= LOG_FLOAT_MAX:
+        raise InvalidSequenceError(
+            f"bounded solution: squared norms would reach e^{2 * log_peak:.6g}, "
+            f"past float range (max|lambda| = {C:.6g}, t = {t:g})")
+    ny0 = np.linalg.norm(y0)
+    if ny0 == 0.0:
+        raise InvalidSequenceError("bounded solution: y0 has norm 0 (or below float range)")
     yt = np.exp(lam * t) * y0
     worst = 0.0
     v = yt.copy()
@@ -367,12 +382,10 @@ def bounded_solution_check(eigs, y0, t: float,
         denom = max(direct, iterated, 1e-300)
         worst = max(worst, abs(direct - iterated) / denom)
         v = lam * v
-    C = float(np.max(np.abs(lam)))
     rng = np.random.default_rng(seed)
-    radii = rng.uniform(0.05, 3.0, BOUNDED_GRID_POINTS)
+    radii = rng.uniform(0.05, BOUNDED_DISC_RADIUS, BOUNDED_GRID_POINTS)
     angles = rng.uniform(0.0, 2.0 * math.pi, BOUNDED_GRID_POINTS)
     zs = radii * np.exp(1j * angles)
-    ny0 = np.linalg.norm(y0)
     margin = 0.0
     for z in zs:
         yz = np.exp(lam * z) * y0

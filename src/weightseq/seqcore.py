@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -175,6 +176,7 @@ class WeightSequence:
 
     def extended(self, P_new: int) -> "WeightSequence":
         """Re-materialise on a longer window; requires a generator."""
+        P_new = _integer(P_new, f"{self.name}: window length P_new", 0)
         if P_new <= self.P:
             return self
         if self.generator is None:
@@ -214,6 +216,7 @@ def gevrey(alpha: float, P: int = DEFAULT_P) -> WeightSequence:
     """Gevrey sequence of order alpha: M_p = (p!)^alpha, alpha >= 0."""
     if not (alpha >= 0) or not math.isfinite(alpha):
         raise InvalidSequenceError(f"gevrey order must be >= 0, got {alpha}")
+    P = _integer(P, "gevrey: window length P", 0)
     form = ClosedForm(float(alpha))  # mu_p = p^alpha
     return WeightSequence(f"gevrey({alpha:g})", form(np.arange(P + 1)), form,
                           provenance=f"builtin:gevrey({alpha:g})")
@@ -223,6 +226,7 @@ def qgevrey(q: float, P: int = DEFAULT_P) -> WeightSequence:
     """q-Gevrey sequence M_p = q^(p^2), q > 1."""
     if not (q > 1) or not math.isfinite(q):
         raise InvalidSequenceError(f"q-gevrey base must be > 1, got {q}")
+    P = _integer(P, "qgevrey: window length P", 0)
     form = ClosedForm(0.0, math.log(q))  # mu_p = q^(2p-1)
     return WeightSequence(f"qgevrey({q:g})", form(np.arange(P + 1)), form,
                           provenance=f"builtin:qgevrey({q:g})")
@@ -257,6 +261,14 @@ def _number(value, what: str) -> float:
         raise InvalidSequenceError(f"{what} must be a number, got {value!r}") from None
 
 
+def _integer(value, what: str, lo: int) -> int:
+    """int(value) for an integer value >= lo, or InvalidSequenceError naming
+    the input; a float is refused, never rounded or truncated."""
+    if not (isinstance(value, numbers.Integral) and value >= lo):
+        raise InvalidSequenceError(f"{what} must be an integer >= {lo}, got {value!r}")
+    return int(value)
+
+
 def _float_array(values, what: str) -> np.ndarray:
     """np.asarray(values, dtype=float), or InvalidSequenceError naming the input."""
     try:
@@ -278,7 +290,7 @@ def make_family(spec, P: Optional[int] = None) -> WeightSequence:
     Accepts "gevrey:0.5", "qgevrey:2", "file:path.json", or a gevrey or
     qgevrey JSON family block ({"type": ..., "params": {...}}).
     """
-    PP = DEFAULT_P if P is None else int(P)
+    PP = DEFAULT_P if P is None else _integer(P, "make_family: window length P", 0)
     if isinstance(spec, dict):
         kind = spec.get("type")
         if kind == "gevrey":
@@ -446,10 +458,6 @@ def load_sequence(path) -> WeightSequence:
     if logM is None:
         if form is None:
             raise InvalidSequenceError(f"{path}: custom family requires logM data")
-        try:
-            P = int(doc.get("P", DEFAULT_P))
-        except (TypeError, ValueError, OverflowError):
-            raise InvalidSequenceError(
-                f"{path}: P must be an integer, got {doc.get('P')!r}") from None
+        P = _integer(doc.get("P", DEFAULT_P), f"{path}: P", 0)
         logM = form(np.arange(P + 1))
     return WeightSequence(doc["name"], logM, form, doc.get("provenance", "file"))

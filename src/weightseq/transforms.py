@@ -23,8 +23,8 @@ import numpy as np
 
 from .errors import (CensoredWindowError, InconclusiveTailError,
                      PreconditionError)
-from .seqcore import (ClosedForm, WeightSequence, from_quotients, in_lc_window,
-                      is_log_convex, log_factorial, quotients)
+from .seqcore import (ClosedForm, WeightSequence, _integer, from_quotients,
+                      in_lc_window, is_log_convex, log_factorial, quotients)
 
 # default ceiling for materialised dual windows (entries, not values)
 DUAL_WINDOW_CAP = 200_000
@@ -90,6 +90,7 @@ def dual(N: WeightSequence, P_out: int | None = None) -> WeightSequence:
     hard_cap = int(min(nu_max, 2**62)) if math.isfinite(nu_max) else 2**62
     if P_out is None:
         P_out = min(hard_cap, DUAL_WINDOW_CAP)
+    P_out = _integer(P_out, "dual: window length P_out", 0)
     if P_out > hard_cap:
         raise CensoredWindowError(
             f"dual: requested window {P_out} exceeds counting range "
@@ -112,8 +113,8 @@ def bidual(N: WeightSequence, P_out: int | None = None) -> WeightSequence:
     dual's preconditions: the inner dual is log-convex and normalized by
     construction, and re-checking it would scan its whole window.
     """
-    if P_out is None:
-        P_out = min(N.P, 2000)
+    P_out = min(N.P, 2000) if P_out is None else _integer(
+        P_out, "bidual: window length P_out", 0)
     # need delta values beyond P_out: delta_j = Sigma_N(j-1) > P_out requires
     # j - 1 > nu_{P_out + 1}, so the inner window must reach past that value.
     M = N

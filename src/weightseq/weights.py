@@ -28,8 +28,8 @@ from scipy.special import gammaln
 from .errors import (CensoredWindowError, InvalidSequenceError,
                      PreconditionError, UntrustedEvaluationError)
 from .seqcore import (ClosedForm, LogPowerBound, WeightSequence,
-                      SequenceFamily, _number, is_log_convex, little_m,
-                      quotients)
+                      SequenceFamily, _integer, _number, is_log_convex,
+                      little_m, quotients)
 
 LN2 = math.log(2.0)
 
@@ -108,17 +108,20 @@ def counting(M: WeightSequence, t: float) -> int:
     _require_finite("counting", t)
     if t < 0:
         raise InvalidSequenceError("counting: t must be >= 0")
-    logmu = quotients(M)[1:]
     logt = math.log(t) if t > 0 else -math.inf
-    if is_log_convex(M):
-        if logt > logmu[-1]:
-            raise CensoredWindowError(
-                f"counting: t={t:g} exceeds mu_P={math.exp(logmu[-1]):g} of {M.name}",
-                required_P=M.P + 1)
-        return int(np.searchsorted(logmu, logt, side="right"))
+    return _window_count(M, quotients(M)[1:], logt)
+
+
+def _window_count(M: WeightSequence, logmu: np.ndarray, logt: float) -> int:
+    """#{p : ln mu_p <= ln t} over logmu = ln mu_1..ln mu_P, for any window.
+
+    Censored from the largest windowed quotient on: log-convexity allows
+    mu_{P+1} = mu_P, so a tie with it may hide uncounted terms.
+    """
     if logt >= logmu.max():
         raise CensoredWindowError(
-            f"counting: t={t:g} reaches the largest windowed quotient of {M.name}")
+            f"counting: t={math.exp(logt):g} reaches the largest windowed "
+            f"quotient of {M.name}", required_P=M.P + 1)
     return int(np.count_nonzero(logmu <= logt))
 
 
@@ -332,16 +335,10 @@ def integral_representation_residual(M: WeightSequence, t: float) -> float:
         raise CensoredWindowError(f"omega untrusted at t={t:g} for {M.name}")
     logmu = quotients(M)[1:]
     logt = math.log(t) if t > 0 else -math.inf
-    if t > 0 and logt > logmu[-1]:
-        raise CensoredWindowError(f"t={t:g} beyond counting range of {M.name}")
-    k = int(np.searchsorted(logmu, logt, side="right"))  # = Sigma_M(t)
-    if k == 0:
-        integral = 0.0
-    else:
-        logmu_ext = np.append(logmu, np.inf)  # sentinel mu_{P+1}
-        upper = np.minimum(logmu_ext[1 : k + 1], logt)
-        p = np.arange(1, k + 1, dtype=float)
-        integral = float(np.sum(p * (upper - logmu[:k])))
+    k = _window_count(M, logmu, logt)  # < P, so mu_{k+1} is windowed
+    upper = np.minimum(logmu[1 : k + 1], logt)
+    p = np.arange(1, k + 1, dtype=float)
+    integral = float(np.sum(p * (upper - logmu[:k])))
     return abs(res.value - integral)
 
 
@@ -358,11 +355,12 @@ class CountingScalingReport:
 def counting_scaling_residual(M: WeightSequence, k: int, beta: float,
                               t_grid) -> CountingScalingReport:
     """Scaling behaviour of the counting function under t -> k^beta t."""
-    if k < 2:
-        raise InvalidSequenceError("scaling factor k must be >= 2")
+    k = _integer(k, "counting scaling: factor k", 2)
     if not is_log_convex(M):
         raise PreconditionError("counting scaling needs log-convex M")
     grid = np.asarray(list(t_grid), dtype=float)
+    if grid.size == 0:
+        raise InvalidSequenceError("counting scaling: empty t grid")
     scale = float(k) ** beta
     excess = []
     excess_omega = []

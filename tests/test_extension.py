@@ -41,6 +41,20 @@ def test_radial_majorant_matches_direct_sum():
         assert F.log_radial_majorant(t) == pytest.approx(math.log(direct), abs=1e-12)
 
 
+@pytest.mark.parametrize("call", [
+    lambda F: F.log_radial_majorant(math.inf),
+    lambda F: F.log_radial_majorant(math.nan),
+    lambda F: F.log_radial_majorant(-1.0),
+    lambda F: F.derivative_log_abs(3, math.nan),
+    lambda F: F.derivative_log_abs(3, math.inf),
+    lambda F: F.derivative_log_abs(3, -math.inf),
+], ids=["radius-inf", "radius-nan", "radius-negative", "x-nan", "x-inf",
+        "x-minus-inf"])
+def test_non_finite_radius_and_point_rejected(call):
+    with pytest.raises(InvalidSequenceError):
+        call(poly_coeffs(np.linspace(1.0, 2.0, 12)))
+
+
 def test_derivative_exact_against_polynomial():
     # F(z) = 1 - 2z + 0.5 z^3 + z^5 (padded with zeros)
     vals = np.array([1.0, -2.0, 0.0, 0.5, 0.0, 1.0] + [0.0] * 6)

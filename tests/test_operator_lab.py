@@ -3,6 +3,8 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weightseq import operator_lab as ol
 from weightseq import seqcore as sc
@@ -95,8 +97,8 @@ def test_weighted_sum_divergence(minimal_model):
 
 
 def test_weighted_sum_window_only_sequence():
-    # a custom window has no closed form: terms inside valid_to read the
-    # window, a term past it is refused
+    # a custom window has no closed form: terms omega trusts read the
+    # window, a term it does not trust is refused
     M = sc.custom(sc.gevrey(0.5, P=64).logM)
     lam = np.array([1.0, 2.0, 4.0])
     model, vec = ol.from_floats(lam, -lam)
@@ -109,6 +111,46 @@ def test_weighted_sum_window_only_sequence():
     with pytest.raises(UntrustedEvaluationError) as exc:
         ol.weighted_class_sum(model, vec, M, 4 * t)
     assert exc.value.required_P == 4 * M.P
+
+
+@pytest.mark.parametrize("coeff_logs, summable", [
+    (lambda n: -0.5 * np.log(n), False),  # sum 1/n diverges
+    (lambda n: -np.log(n), False),        # sum 1/n^2 converges, too slowly to certify
+    (lambda n: -0.5 * n, True),           # sum e^-n
+    (lambda n: -n, True),                 # sum e^-2n
+], ids=["1/n", "1/n^2", "e^-n", "e^-2n"])
+def test_l2_report_reads_the_series_certificate(coeff_logs, summable):
+    n = np.arange(1.0, 201.0)
+    _, vec = ol.from_floats(n, coeff_logs(n))
+    rep = vec.l2_report()
+    cert = ol._certify([2 * c for c in vec.logc], 0.0)
+    assert rep["summable"] is summable is cert.converged
+    assert rep["log_sum"] == cert.log_partial_sum
+    assert rep["max_log_ratio"] == cert.max_tail_log_ratio
+
+
+def _diverged_from_quadratic(term_logs, converged):
+    """The all-pairs rule: the first start past which every term is >= 1,
+    kept only when at least two terms follow it and nothing converged."""
+    n = len(term_logs)
+    found = None
+    for start in range(n):
+        if all(term_logs[m] >= 0 for m in range(start, n)):
+            found = start + 1
+            break
+    if found is not None and found >= n or converged:
+        return None
+    return found
+
+
+@given(st.lists(st.one_of(st.floats(min_value=-5.0, max_value=5.0),
+                          st.sampled_from([0.0, math.inf, -math.inf])),
+                min_size=1, max_size=40))
+@settings(max_examples=200, deadline=None)
+def test_certify_diverged_from_matches_quadratic_rule(logs):
+    terms = [mp.mpf(v) for v in logs]
+    rep = ol._certify(terms, 1.0)
+    assert rep.diverged_from == _diverged_from_quadratic(terms, rep.converged)
 
 
 def test_scaling_leaves_verdicts(minimal_model):
@@ -185,6 +227,9 @@ def test_bounded_solution_scalar_example():
     assert d3 == pytest.approx(8 * math.exp(2.0), rel=1e-12)
     rep = ol.bounded_solution_check(lam, [1.0], 1.0)
     assert rep.max_rel_err <= 1e-12
+    # a rate whose squared norms stay inside float range still runs
+    rep = ol.bounded_solution_check([90.0], [1.0], 0.0)
+    assert rep.max_rel_err <= 1e-12 and rep.exp_type_margin <= 1.0 + 1e-9
 
 
 def test_bounded_solution_random_diag():
@@ -257,6 +302,19 @@ NON_FINITE_CALLS = {
         [1.0, math.nan], [1.0, 1.0], 0.0),
     "bounded t inf": lambda m, v, g: ol.bounded_solution_check(
         [1.0, 2.0], [1.0, 1.0], math.inf),
+    # e^(C|z|) or a squared norm past float range
+    "bounded disc overflow": lambda m, v, g: ol.bounded_solution_check(
+        [300.0], [1.0], 0.0),
+    "bounded eigenvalue overflow": lambda m, v, g: ol.bounded_solution_check(
+        [1e300], [1.0], 1.0),
+    "bounded t overflow": lambda m, v, g: ol.bounded_solution_check(
+        [1.0], [1.0], 800.0),
+    "bounded norm overflow": lambda m, v, g: ol.bounded_solution_check(
+        [100.0], [1.0], 3.0),
+    "bounded vector overflow": lambda m, v, g: ol.bounded_solution_check(
+        [1.0], [1e200], 0.0),
+    "bounded zero vector": lambda m, v, g: ol.bounded_solution_check(
+        [1.0], [0.0], 0.0),
 }
 
 

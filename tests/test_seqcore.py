@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from scipy.special import gammaln
 
 from weightseq import analysis as an
+from weightseq import extension as ex
+from weightseq import operator_lab as ol
 from weightseq import seqcore as sc
 from weightseq import transforms as tr
 from weightseq import weights as wt
@@ -274,6 +276,7 @@ def test_json_family_mismatch_rejected(tmp_path):
     {"name": "g", "P": "abc", "family": {"type": "gevrey", "params": {"alpha": 1.5}}},
     {"name": "g", "P": None, "family": {"type": "gevrey", "params": {"alpha": 1.5}}},
     {"name": "g", "P": [40], "family": {"type": "gevrey", "params": {"alpha": 1.5}}},
+    {"name": "g", "P": 20.5, "family": {"type": "gevrey", "params": {"alpha": 1.5}}},
     {"name": "c", "P": 10, "logM": ["a"] + list(range(10))},
     {"name": "c", "P": 10, "logM": [[0, 1]] * 11},
     {"name": "c", "P": 10, "logM": {"0": 0}},
@@ -298,11 +301,33 @@ def test_json_non_numeric_window_rejected(tmp_path, doc):
     lambda: an.matuszewska(np.zeros((40, 40))),
     lambda: sc.factorial_shift(sc.gevrey(1), math.inf),
     lambda: sc.factorial_shift(sc.gevrey(1), -math.inf),
+    # integer arguments: a fraction, NaN or a string is refused, not rounded
+    lambda: sc.gevrey(2, P=20.5),
+    lambda: sc.gevrey(2, P=math.nan),
+    lambda: sc.qgevrey(2, P=20.5),
+    lambda: sc.make_family("gevrey:1", P="x"),
+    lambda: sc.make_family("gevrey:1", P=20.5),
+    lambda: sc.gevrey(2).extended(math.nan),
+    lambda: sc.gevrey(2).extended(600.5),
+    lambda: tr.dual(sc.gevrey(2), P_out=math.nan),
+    lambda: tr.dual(sc.gevrey(2), P_out=20.5),
+    lambda: tr.bidual(sc.gevrey(2), P_out=math.nan),
+    lambda: tr.bidual(sc.gevrey(2), P_out=20.5),
+    lambda: wt.counting_scaling_residual(sc.gevrey(2), 2.5, 1.0, [1.0, 2.0]),
+    lambda: wt.counting_scaling_residual(sc.gevrey(2), 2, 1.0, []),
+    lambda: ex.cauchy_restriction_bound(
+        ex.CoefficientFunction.reciprocal(sc.gevrey(1, P=32)),
+        tr.conjugate(sc.gevrey(0.5, P=64)), A=2.0, k=2.0, x=0.3, n=2.5),
+    lambda: ol.build_counterexample(wt.build_gauge(wt.markin_bound(128)), 2.5),
 ], ids=["grid-nan", "grid-negative", "grid-zero", "grid-string", "grid-none",
         "matuszewska-p0-zero",
         "matuszewska-p0-negative", "matuszewska-p0-fraction",
         "matuszewska-non-numeric", "matuszewska-2d", "shift-inf",
-        "shift-minus-inf"])
+        "shift-minus-inf", "gevrey-P-fraction", "gevrey-P-nan",
+        "qgevrey-P-fraction", "make-family-P-string", "make-family-P-fraction",
+        "extended-nan", "extended-fraction", "dual-P-nan", "dual-P-fraction",
+        "bidual-P-nan", "bidual-P-fraction", "scaling-k-fraction",
+        "scaling-empty-grid", "cauchy-n-fraction", "counterexample-n-fraction"])
 def test_invalid_arguments_rejected(call):
     with pytest.raises(InvalidSequenceError):
         call()

@@ -21,6 +21,60 @@ def test_counting_examples():
     assert wt.counting(sc.gevrey(2), 0.5) == 0   # below mu_1
     with pytest.raises(CensoredWindowError):
         wt.counting(sc.gevrey(1, P=16), 17.0)
+    # a tie with the last windowed quotient may hide further terms: every
+    # quotient of gevrey(0) is 1, and the dual's delta_p stays 70 past p = P
+    with pytest.raises(CensoredWindowError) as exc:
+        wt.counting(sc.gevrey(0), 1.0)
+    assert exc.value.required_P == 513
+    D = tr.dual(sc.gevrey(2), P_out=5000)
+    with pytest.raises(CensoredWindowError):
+        wt.counting(D, math.exp(sc.quotients(D)[-1]))
+
+
+# every windowed quotient, 300 random ln t in [-1, ln mu_max + 1] and
+# mu_max (1 + d) for d in {0, +-1e-15, +-1e-12}, mu_max the largest quotient
+PROBE_WINDOWS = {
+    "gevrey(0.5)": lambda: sc.gevrey(0.5),
+    "gevrey(2)": lambda: sc.gevrey(2),
+    "qgevrey(1.5)": lambda: sc.qgevrey(1.5, P=256),
+    "gevrey(0)": lambda: sc.gevrey(0),
+    "conj(gevrey(0.3))": lambda: tr.conjugate(sc.gevrey(0.3)),
+    "dual(gevrey(2))": lambda: tr.dual(sc.gevrey(2), P_out=5000),
+    "noisy custom": lambda: sc.custom(
+        sc.gevrey(1.5, P=64).logM
+        + np.random.default_rng(1).normal(0.0, 0.5, 65)),
+}
+
+
+def _probe_args(logmu):
+    top = float(logmu.max())
+    drawn = np.random.default_rng(0).uniform(-1.0, top + 1.0, 300)
+    logs = np.concatenate([logmu, drawn])
+    mu_max = math.exp(top)
+    return [math.exp(v) for v in logs] + [mu_max * (1 + d) for d in
+                                          (0.0, 1e-15, -1e-15, 1e-12, -1e-12)]
+
+
+@pytest.mark.parametrize("name", list(PROBE_WINDOWS))
+def test_counting_sweep(name):
+    M = PROBE_WINDOWS[name]()
+    logmu = sc.quotients(M)[1:]
+    assert sc.is_log_convex(M) == (name != "noisy custom")
+    ordered = np.sort(logmu)
+    mu_max = math.exp(logmu.max())
+    for t in _probe_args(logmu):
+        logt = math.log(t)
+        if logt >= logmu.max():
+            with pytest.raises(CensoredWindowError):
+                wt.counting(M, t)
+            refused = True
+        else:
+            assert wt.counting(M, t) == np.searchsorted(ordered, logt, side="right")
+            refused = False
+        # omega's tie tolerance leaves it untrusted in a thin band below
+        # mu_max, where the count is still exact
+        if sc.is_log_convex(M) and not mu_max * (1 - 1e-12) <= t < mu_max:
+            assert refused == (not wt.omega(M, t).trusted)
 
 
 def test_counting_step_structure():
