@@ -21,7 +21,7 @@ from .errors import InvalidSequenceError, PreconditionError, WeightSeqError
 from .seqcore import (SequenceFamily, WeightSequence, _float_array, _integer,
                       is_log_convex, is_normalized, little_m, quotients,
                       structure_tol)
-from .transforms import dual
+from .transforms import _counting_range, dual
 
 
 @dataclass(frozen=True)
@@ -138,6 +138,14 @@ def _exp_reported(log_C: float) -> float:
         return float(np.exp(log_C))
 
 
+def _math_exp(x: float) -> float:
+    """math.exp(x) inside float range (pinned witnesses read it), inf past it."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 def _check_mg(M):
     """Moderate growth: M_{p+q} <= C^{p+q+1} M_p M_q.
 
@@ -182,7 +190,7 @@ def _check_dc(M):
     logmu = quotients(M)
     p = np.arange(1, M.P + 1, dtype=float)
     s = logmu[1:] / p
-    A_w = float(np.exp(s.max()))
+    A_w = _exp_reported(s.max())
     if int(np.argmax(s)) <= 3 * len(s) // 4 or _nonincreasing(_tail(s), 1e-12):
         return Verdict("holds", {"A": A_w}, (1, M.P))
     inc = np.diff(_tail(s))
@@ -199,7 +207,7 @@ def _check_quotient_ratio_bound(M):
     steps = np.diff(logmu[1:])
     if steps.size == 0:
         return Verdict("inconclusive", {}, (1, M.P))
-    A_w = float(np.exp(min(steps.max(), 700.0)))
+    A_w = _exp_reported(steps.max())
     tol9, tol12 = structure_tol(M, 1e-9), structure_tol(M)
     if int(np.argmax(steps)) <= 3 * len(steps) // 4 or \
             _nonincreasing(_tail(steps), tol9):
@@ -278,12 +286,11 @@ def _check_gamma1(M):
         c_log = float(np.min(logmu[tail_id] - r_fit * np.log(tail_id)))
         # sum_{k>P} 1/(c k^r) <= P^(1-r) / (c (r-1))
         log_tail = -c_log + (1 - r_fit) * math.log(P) - math.log(r_fit - 1)
-        tail_bound = math.exp(log_tail)
-        inv_mu = np.exp(-logmu[1:])
-        suffix = np.cumsum(inv_mu[::-1])[::-1]
-        # once mu_p passes float range this is inf, or inf * 0 = NaN, and
-        # check_property withdraws the verdict
+        tail_bound = _math_exp(log_tail)
+        # once mu_p or 1/mu_p passes float range this is inf, or inf * 0 =
+        # NaN, and check_property withdraws the verdict
         with np.errstate(over="ignore", invalid="ignore"):
+            suffix = np.cumsum(np.exp(-logmu[1:])[::-1])[::-1]
             stat = np.exp(logmu[1:] - np.log(p)) * (suffix + tail_bound)
         return Verdict("holds",
                        {"sup": float(stat.max()), "argmax_p": int(np.argmax(stat) + 1),
@@ -292,7 +299,7 @@ def _check_gamma1(M):
     if r_hi < 1.0 - 1e-9 or (abs(r_hi - 1.0) <= 1e-9 and _nonincreasing(rates, 1e-9)):
         # mu_k <= C k: the reciprocal series diverges, the sup is infinite
         C_log = float(np.max(logmu[tail_id] - np.log(tail_id)))
-        return Verdict("fails", {"tail_rate_upper": r_hi, "C": math.exp(C_log)},
+        return Verdict("fails", {"tail_rate_upper": r_hi, "C": _math_exp(C_log)},
                        (1, P), "reciprocal quotient series diverges")
     return Verdict("inconclusive", {"tail_rate_range": (r_lo, r_hi)}, (1, P))
 
@@ -539,8 +546,7 @@ def index_reciprocity_report(N: WeightSequence) -> ReciprocityReport:
     nu = quotients(N)
     a_nu = matuszewska(nu, "upper")
     b_nu = matuszewska(nu, "lower")
-    nu_max = float(np.exp(min(nu[-1], 700.0)))
-    P_dual = int(min(100 * N.P, 10**6, nu_max))
+    P_dual = min(100 * N.P, 10**6, _counting_range(N))
     D = dual(N, P_out=P_dual)
     delta = quotients(D)
     p0_dual = max(8, P_dual // 10)

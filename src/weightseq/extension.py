@@ -84,6 +84,7 @@ class CoefficientFunction:
         """
         if not math.isfinite(x):
             raise InvalidSequenceError(f"derivative point x must be finite, got {x}")
+        n = _integer(n, "derivative order n", 0)
         if n > self.K:
             return NEG_INF
         j = np.arange(n, self.K + 1, dtype=float)

@@ -205,7 +205,8 @@ class SequenceFamily:
     P: int = DEFAULT_P
 
     def member(self, beta: float, P: Optional[int] = None) -> WeightSequence:
-        return self.maker(float(beta), int(P if P is not None else self.P))
+        return self.maker(float(beta), _integer(P if P is not None else self.P,
+                                                f"{self.name}: window length P", 0))
 
 
 # ---------------------------------------------------------------------------
@@ -234,10 +235,7 @@ def qgevrey(q: float, P: int = DEFAULT_P) -> WeightSequence:
 
 def custom(logM, name: str = "custom") -> WeightSequence:
     """Wrap an explicit array of ln M_p values."""
-    arr = _float_array(logM, f"custom sequence {name}")
-    if arr.size and not np.all(np.isfinite(arr)):
-        raise InvalidSequenceError("custom sequence has non-finite entries")
-    return WeightSequence(name, arr, provenance="custom")
+    return WeightSequence(name, logM, provenance="custom")
 
 
 def small_gevrey_family(P: int = DEFAULT_P,
@@ -454,6 +452,8 @@ def load_sequence(path) -> WeightSequence:
         form = ClosedForm(_family_param(fam, "a"), _family_param(fam, "b"))
     elif kind == "log-power":
         form = LogPowerBound()
+    elif kind != "custom":
+        raise InvalidSequenceError(f"{path}: unknown family type {kind!r}")
     logM = doc.get("logM")
     if logM is None:
         if form is None:

@@ -69,25 +69,28 @@ def _counted_logs(values: np.ndarray, P_out: int) -> np.ndarray:
     return np.concatenate([[0.0], np.cumsum(logkappa[1:])])
 
 
+def _counting_range(N: WeightSequence) -> int:
+    """floor(nu_P) capped at 2^62: the largest p whose count Sigma_N(p) the
+    window resolves; a last quotient past float range reads as the cap."""
+    with np.errstate(over="ignore"):
+        # the last entry of quotients(N), without building the whole view
+        nu_max = np.exp(N.logM[-1] - N.logM[-2])
+    return int(min(nu_max, 2**62)) if math.isfinite(nu_max) else 2**62
+
+
 def dual(N: WeightSequence, P_out: int | None = None) -> WeightSequence:
     """Dual sequence of N defined through its quotients.
 
     delta_{p+1} = Sigma_N(p) for p >= nu_1 and delta_{p+1} = 1 for integer
     p with -1 <= p < nu_1; D_p is the product of the deltas.  The output
-    window is chosen so every count uses only quotients whose values fit
-    inside N's window (no truncation censoring).
+    window stays inside N's counting range, so every count uses only
+    quotients whose values fit inside N's window (no truncation censoring).
     """
     if not in_lc_window(N):
         raise PreconditionError(
             f"dual: {N.name} is not normalized and log-convex with diverging "
             "quotients on its window")
-    # nu_1..nu_P, non-decreasing; a quotient past float range is inf, which
-    # exceeds every count, as it should
-    with np.errstate(over="ignore"):
-        nu = np.exp(quotients(N)[1:])
-    nu_max = nu[-1]
-    # counts Sigma_N(p) are uncensored only for p <= nu_P
-    hard_cap = int(min(nu_max, 2**62)) if math.isfinite(nu_max) else 2**62
+    hard_cap = _counting_range(N)
     if P_out is None:
         P_out = min(hard_cap, DUAL_WINDOW_CAP)
     P_out = _integer(P_out, "dual: window length P_out", 0)
@@ -100,49 +103,40 @@ def dual(N: WeightSequence, P_out: int | None = None) -> WeightSequence:
         raise CensoredWindowError(
             f"dual: counting range of {N.name} supports only p <= {P_out}; "
             "enlarge the input window", required_P=P_out)
+    # nu_1..nu_P, non-decreasing; a quotient past float range is inf, which
+    # exceeds every count, as it should
+    with np.errstate(over="ignore"):
+        nu = np.exp(quotients(N)[1:])
     return WeightSequence(f"dual[{N.name}]", _counted_logs(nu, P_out),
                           provenance=f"transform:dual({N.provenance})")
 
 
 def bidual(N: WeightSequence, P_out: int | None = None) -> WeightSequence:
-    """Dual applied twice, with window bookkeeping.
+    """Dual applied twice: dual(dual(N)) on 0..P_out, under its own name.
 
-    epsilon_{p+1} = Sigma_D(p) for p >= delta_1 = 1, epsilon_0 = epsilon_1 = 1.
-    The inner dual window is grown until its quotients exceed the requested
-    output range, so every count is uncensored.  The outer count skips
-    dual's preconditions: the inner dual is log-convex and normalized by
-    construction, and re-checking it would scan its whole window.
+    The inner dual's quotients must pass P_out: delta_j = Sigma_N(j-1) >
+    P_out needs j - 1 > nu_{P_out+1}, so the inner window is P_inner =
+    floor(nu_{P_out+1}) + 2.  N's window is doubled through its generator
+    until its counting range covers P_inner.
     """
     P_out = min(N.P, 2000) if P_out is None else _integer(
         P_out, "bidual: window length P_out", 0)
-    # need delta values beyond P_out: delta_j = Sigma_N(j-1) > P_out requires
-    # j - 1 > nu_{P_out + 1}, so the inner window must reach past that value.
-    M = N
-    if M.P < P_out + 1:
-        M = M.extended(P_out + 1)
-    if P_out + 1 > M.P:
-        raise CensoredWindowError("bidual: input window too short", required_P=P_out + 1)
+    M = N.extended(P_out + 1)
     lim = quotients(M)[P_out + 1]
     if lim > math.log(50_000_000):
         raise CensoredWindowError(
             f"bidual: inner dual window would need ~e^{lim:.1f} entries")
     P_inner = int(math.floor(math.exp(lim))) + 2
-    # grow the input window until its counting range covers the inner dual
     for _ in range(24):
-        last = quotients(M)[-1]
-        if math.exp(min(last, 700.0)) >= P_inner:
+        if _counting_range(M) >= P_inner:
             break
         if M.generator is None:
             raise CensoredWindowError(
                 f"bidual: counting range of {M.name} stops below {P_inner}",
                 required_P=2 * M.P)
         M = M.extended(2 * M.P)
-    D = dual(M, P_out=P_inner)
-    delta = np.exp(quotients(D)[1:])  # non-decreasing, delta_1 = 1
-    if delta[-1] <= P_out:
-        raise CensoredWindowError(
-            f"bidual: dual quotients reach only {delta[-1]:.0f} <= {P_out}")
-    return WeightSequence(f"bidual[{N.name}]", _counted_logs(delta, P_out),
+    E = dual(dual(M, P_out=P_inner), P_out=P_out)
+    return WeightSequence(f"bidual[{N.name}]", E.logM,
                           provenance=f"transform:bidual({N.provenance})")
 
 

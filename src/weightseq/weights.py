@@ -671,11 +671,12 @@ def uniform_bound_construct(family: SequenceFamily, K: int,
     condition is verified on [j_{k+1}, P] together with the monotone trend
     certificate from hypothesis (v).
     """
+    K = _integer(K, "uniform bound: stage count K", 0)
     if params is None:
         params = [float(k) for k in range(1, K + 2)]
     if len(params) != K + 1:
         raise InvalidSequenceError(f"need K+1={K+1} parameters, got {len(params)}")
-    PP = int(P if P is not None else family.P)
+    PP = _integer(P if P is not None else family.P, "uniform bound: window length P", 0)
     members = [family.member(b, PP) for b in params]
     logms = [little_m(N).logM for N in members]
     _family_hypothesis_check(logms, PP)

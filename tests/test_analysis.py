@@ -152,6 +152,31 @@ def test_qgevrey_past_float_range_sound(q):
     assert g.notes == "holds withdrawn: non-finite witness"
 
 
+def _quotient_window(logmu):
+    """from_quotients window on p = 0..512 with ln mu_p = logmu(p), p >= 1."""
+    p = np.arange(513, dtype=float)
+    return sc.from_quotients(np.concatenate([[0.0], logmu(p[1:])]))
+
+
+@pytest.mark.parametrize("prop, logmu", [
+    # one step of 800 in ln mu: A = e^800 (was e^700, a finite false witness)
+    ("quotient-ratio-bound", lambda p: np.where(p <= 100, 0.0, 800.0)),
+    # ln mu_1 = 800: A = e^800 (was an overflow warning)
+    ("dc", lambda p: 800.0 + np.log(p)),
+    # fails branch: C ~ e^800 (was a bare OverflowError)
+    ("gamma1", lambda p: 800.0 + 0.5 * np.log(p)),
+    # holds branch: tail_bound ~ e^1000 and 1/mu_p past float range
+    ("gamma1", lambda p: -1000.0 + 1.5 * np.log(p)),
+], ids=["qrb-step", "dc-head", "gamma1-fails", "gamma1-holds"])
+def test_witness_past_float_range_withdrawn(prop, logmu):
+    M = _quotient_window(logmu)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        v = an.check_property(M, prop)
+    assert v.status == "inconclusive"
+    assert v.notes.split(";")[0].endswith("withdrawn: non-finite witness")
+
+
 def test_non_finite_witness_withdrawn(monkeypatch):
     witnesses = [{"x": float("nan")}, {"pairs": {"a": [1.0, float("inf")]}},
                  {"range": (0.0, -float("inf"))}, {"x": np.float64("nan")}]
@@ -317,6 +342,22 @@ def test_index_reciprocity():
     wild = sc.from_quotients(np.concatenate([[0.0], np.log(2.0) * 2.0**p]))
     with pytest.raises(PreconditionError):
         an.index_reciprocity_report(wild)
+
+
+def test_index_reciprocity_dual_window_at_counting_range(monkeypatch):
+    # nu_P = 300^1.5 ~ 5196 is below 100 P and 10^6, so the dual window is
+    # the counting range; the value was recorded before the shared helper
+    N = sc.gevrey(1.5, P=300)
+    windows = []
+
+    def spy(M, P_out=None):
+        windows.append(P_out)
+        return tr.dual(M, P_out=P_out)
+
+    monkeypatch.setattr(an, "dual", spy)
+    rep = an.index_reciprocity_report(N)
+    assert windows == [5196] == [tr._counting_range(N)]
+    assert rep.alpha_delta.window == (519, 2598)
 
 
 def test_root_vs_quotient():

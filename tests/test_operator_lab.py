@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from weightseq import extension as ex
 from weightseq import operator_lab as ol
 from weightseq import seqcore as sc
 from weightseq import weights as wt
@@ -315,6 +316,12 @@ NON_FINITE_CALLS = {
         [1.0], [1e200], 0.0),
     "bounded zero vector": lambda m, v, g: ol.bounded_solution_check(
         [1.0], [0.0], 0.0),
+    # integer arguments: NaN is refused, not a bare TypeError
+    "derivative order nan": lambda m, v, g: ex.CoefficientFunction.reciprocal(
+        sc.gevrey(1, P=32)).derivative_log_abs(math.nan, 1.0),
+    "member P nan": lambda m, v, g: sc.small_gevrey_family().member(0.5, P=math.nan),
+    "uniform bound K nan": lambda m, v, g: wt.uniform_bound_construct(
+        sc.small_gevrey_family(P=64), K=math.nan, P=64),
 }
 
 

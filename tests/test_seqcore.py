@@ -249,6 +249,22 @@ def test_json_reads_older_family_blocks(tmp_path):
     assert sc.load_sequence(path).generator is None
 
 
+def test_json_unknown_family_type_rejected(tmp_path):
+    # a typo in the type must not drop the declared generator silently
+    path = tmp_path / "seq.json"
+    doc = {"name": "c", "P": 10, "family": {"type": "gevrey-typo",
+                                            "params": {"alpha": 1.0}},
+           "logM": list(range(11))}
+    path.write_text(json.dumps(doc))
+    with pytest.raises(InvalidSequenceError, match="unknown family type 'gevrey-typo'"):
+        sc.load_sequence(path)
+    # no family block, or a custom one, still loads window-only
+    for family in (None, {"type": "custom", "params": {}}):
+        doc["family"] = family
+        path.write_text(json.dumps(doc))
+        assert sc.load_sequence(path).generator is None
+
+
 def test_json_family_mismatch_rejected(tmp_path):
     path = tmp_path / "seq.json"
     M = sc.gevrey(0.5, P=32)
@@ -319,6 +335,12 @@ def test_json_non_numeric_window_rejected(tmp_path, doc):
         ex.CoefficientFunction.reciprocal(sc.gevrey(1, P=32)),
         tr.conjugate(sc.gevrey(0.5, P=64)), A=2.0, k=2.0, x=0.3, n=2.5),
     lambda: ol.build_counterexample(wt.build_gauge(wt.markin_bound(128)), 2.5),
+    lambda: ex.CoefficientFunction.reciprocal(
+        sc.gevrey(1, P=32)).derivative_log_abs(2.5, 1.0),
+    lambda: sc.small_gevrey_family(P=64).member(0.5, P=64.7),
+    lambda: wt.uniform_bound_construct(sc.small_gevrey_family(P=64), K=1, P=64.5,
+                                       params=[0.1, 0.5]),
+    lambda: wt.uniform_bound_construct(sc.small_gevrey_family(P=64), K=1.5, P=64),
 ], ids=["grid-nan", "grid-negative", "grid-zero", "grid-string", "grid-none",
         "matuszewska-p0-zero",
         "matuszewska-p0-negative", "matuszewska-p0-fraction",
@@ -327,7 +349,9 @@ def test_json_non_numeric_window_rejected(tmp_path, doc):
         "qgevrey-P-fraction", "make-family-P-string", "make-family-P-fraction",
         "extended-nan", "extended-fraction", "dual-P-nan", "dual-P-fraction",
         "bidual-P-nan", "bidual-P-fraction", "scaling-k-fraction",
-        "scaling-empty-grid", "cauchy-n-fraction", "counterexample-n-fraction"])
+        "scaling-empty-grid", "cauchy-n-fraction", "counterexample-n-fraction",
+        "derivative-n-fraction", "member-P-fraction", "uniform-bound-P-fraction",
+        "uniform-bound-K-fraction"])
 def test_invalid_arguments_rejected(call):
     with pytest.raises(InvalidSequenceError):
         call()

@@ -140,6 +140,31 @@ def test_dual_past_float_range():
     assert hashlib.md5(D.logM.tobytes()).hexdigest() == "8fabc670fe389b7b8a523a04beca7786"
 
 
+@pytest.mark.parametrize("N", [sc.gevrey(0.5, P=4096), sc.gevrey(1, P=512),
+                               sc.gevrey(2, P=64), sc.gevrey(2, P=600),
+                               sc.qgevrey(2, P=600)],
+                         ids=["gevrey0.5", "gevrey1", "gevrey2-64", "gevrey2-600",
+                              "qgevrey2"])
+def test_dual_default_window_is_counting_range(N):
+    assert tr.dual(N).P == min(tr._counting_range(N), tr.DUAL_WINDOW_CAP)
+
+
+@pytest.mark.parametrize("N, P_out, digest", [
+    # criterion 3's input
+    (sc.gevrey(2, P=128).extended(2048), 2000, "b0bb99c143d64221b3ba751e45557874"),
+    (sc.gevrey(2, P=600), 500, "39c5d935e183228f06de200481a52917"),
+    (sc.gevrey(1, P=300), 200, "6987a7c52cab5691d863af9691a6ebd1"),
+    (sc.gevrey(1.5, P=600), 500, "699c1bb9fdde5459220be23dd3c63fee"),
+], ids=["gevrey2-2000", "gevrey2-500", "gevrey1-200", "gevrey1.5-500"])
+def test_bidual_bytes_pinned(N, P_out, digest):
+    # recorded when bidual still made its own outer count
+    E = tr.bidual(N, P_out=P_out)
+    assert E.P == P_out
+    assert E.name == f"bidual[{N.name}]"
+    assert E.provenance == f"transform:bidual({N.provenance})"
+    assert hashlib.md5(E.logM.tobytes()).hexdigest() == digest
+
+
 def test_dual_quotients_shrink_bidual_restores():
     D = tr.dual(sc.gevrey(2), P_out=4000)
     delta = np.exp(sc.quotients(D))
