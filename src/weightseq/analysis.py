@@ -132,8 +132,9 @@ def _log_window_constant(logM: np.ndarray) -> float:
 
 
 def _exp_reported(log_C: float) -> float:
-    """C for a witness; inf past float range, which check_property does not
-    let a holds or fails rest on."""
+    """e^log_C for a reported value (a witness's constant, a side of an
+    extension bound): inf past float range, never clamped.  check_property
+    lets no holds or fails rest on an inf witness."""
     with np.errstate(over="ignore"):
         return float(np.exp(log_C))
 

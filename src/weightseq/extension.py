@@ -23,11 +23,11 @@ from typing import Optional
 import numpy as np
 from scipy.special import gammaln
 
+from .analysis import _exp_reported
 from .errors import (CensoredWindowError, InvalidSequenceError,
                      UntrustedEvaluationError)
-from .seqcore import WeightSequence, _integer, quotients
-from .transforms import conjugate
-from .weights import omega
+from .seqcore import WeightSequence, _integer, log_factorial, quotients
+from .weights import _require_finite, _window_omega, omega
 
 NEG_INF = -np.inf
 
@@ -139,19 +139,21 @@ def taylor_majorant(M: WeightSequence, h: float, A: float,
 
     lhs = A sum_k (h |z|)^k M_k / k!,  rhs = 2 A exp(omega_{M*}(2 h |z|)).
     """
-    if h <= 0 or A <= 0 or z_abs < 0:
-        raise InvalidSequenceError("need h > 0, A > 0, z_abs >= 0")
-    Mstar = conjugate(M)
-    w = omega(Mstar, 2.0 * h * z_abs)
+    if not (h > 0 and 0 < A < math.inf and z_abs >= 0):
+        raise InvalidSequenceError("need h > 0, finite A > 0, z_abs >= 0")
+    t = 2.0 * h * z_abs
+    _require_finite("taylor_majorant", t, "2 h |z|")
+    logMstar = log_factorial(np.arange(M.P + 1)) - M.logM  # as conjugate(M)
+    w = _window_omega(logMstar, t)
     if not w.trusted:
         raise UntrustedEvaluationError(
-            f"conjugate weight untrusted at {2*h*z_abs:g}; enlarge P beyond {M.P}",
+            f"conjugate weight untrusted at {t:g}; enlarge P beyond {M.P}",
             required_P=2 * M.P)
     k = np.arange(M.P + 1, dtype=float)
     if z_abs == 0.0:
         log_lhs = math.log(A)
     else:
-        terms = k * math.log(h * z_abs) - Mstar.logM  # (h z)^k M_k / k!
+        terms = k * math.log(h * z_abs) - logMstar  # (h z)^k M_k / k!
         peak = int(np.argmax(terms))
         if peak >= M.P:
             raise UntrustedEvaluationError(
@@ -161,8 +163,8 @@ def taylor_majorant(M: WeightSequence, h: float, A: float,
         keep = terms > m + math.log(1e-18)
         log_lhs = math.log(A) + m + math.log(float(np.sum(np.exp(terms[keep] - m))))
     log_rhs = math.log(2.0 * A) + w.value
-    return MajorantPair(lhs=float(np.exp(min(log_lhs, 700.0))),
-                        rhs=float(np.exp(min(log_rhs, 700.0))),
+    return MajorantPair(lhs=_exp_reported(log_lhs),
+                        rhs=_exp_reported(log_rhs),
                         log_lhs=log_lhs, log_rhs=log_rhs)
 
 
@@ -248,8 +250,8 @@ def weighted_sup_norm(F: CoefficientFunction, M: WeightSequence, c: float,
     ``c`` scales the argument of the weight, ``exponent`` powers the weight
     itself.  Untrusted weight evaluations abort rather than silently censor.
     """
-    if c <= 0 or exponent <= 0:
-        raise InvalidSequenceError("need c > 0 and exponent > 0")
+    if not (c > 0 and 0 < exponent < math.inf):
+        raise InvalidSequenceError("need c > 0 and a finite exponent > 0")
     grid = np.asarray(list(radius_grid), dtype=float)
     if grid.size == 0:
         raise InvalidSequenceError("empty radius grid")
@@ -264,5 +266,5 @@ def weighted_sup_norm(F: CoefficientFunction, M: WeightSequence, c: float,
         if val > best:
             best, best_t = val, float(t)
     boundary = bool(best_t == grid[0] or best_t == grid[-1])
-    return WeightedNorm(value=float(np.exp(min(best, 700.0))), log_value=float(best),
+    return WeightedNorm(value=_exp_reported(best), log_value=float(best),
                         at_t=best_t, boundary=boundary)

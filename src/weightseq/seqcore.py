@@ -111,8 +111,9 @@ class ClosedForm:
 class LogPowerBound:
     """ln a_j = -j ln ln j for j >= 2 and ln a_0 = ln a_1 = 0.
 
-    ``rate(u)`` is (1/k) ln a_k at u = ln k, which is -ln u; the growth
-    gauge reads it to evaluate at astronomically large arguments.
+    ``rate(u)`` is (1/k) ln a_k at u = ln k, which is -ln u, and
+    ``deriv(u)`` is its derivative -1/u; the growth gauge reads both to
+    evaluate at astronomically large arguments.
     """
 
     def __call__(self, p):
@@ -122,6 +123,9 @@ class LogPowerBound:
 
     def rate(self, u: float) -> float:
         return -math.log(u)
+
+    def deriv(self, u: float) -> float:
+        return -1.0 / u
 
 
 @dataclass(frozen=True)

@@ -145,16 +145,22 @@ def omega(M: WeightSequence, t: float) -> OmegaValue:
     _require_finite("omega", t)
     if t < 0:
         raise InvalidSequenceError("omega: t must be >= 0")
+    return _window_omega(M.logM, t)
+
+
+def _window_omega(logM: np.ndarray, t: float) -> OmegaValue:
+    """omega's scan over ln M_0..ln M_P for a checked t >= 0."""
     if t == 0.0:
         return OmegaValue(0.0, 0, True)
-    p = np.arange(M.P + 1, dtype=float)
-    terms = p * math.log(t) - M.logM
+    P = logM.size - 1
+    p = np.arange(P + 1, dtype=float)
+    terms = p * math.log(t) - logM
     best = float(terms.max())
     tol = 1e-12 * max(1.0, abs(best))
     arg_last = int(np.flatnonzero(terms >= best - tol)[-1])
     value = max(best, 0.0)
     argmax = int(np.argmax(terms)) if best > 0.0 else 0
-    return OmegaValue(value, argmax, arg_last < M.P)
+    return OmegaValue(value, argmax, arg_last < P)
 
 
 def omega_extended(M: WeightSequence, t: float) -> OmegaValue:
@@ -456,21 +462,21 @@ class GrowthGauge:
         Past float range ln h(t) = x + this maximum at x = ln(t/2): the
         k-th series term over k is x - r(ln k) - (ln k - 1) + O(ln k / k).
         Offset coordinates keep the maximum free of the rounding of x.
+        The peak solves its stationarity equation v = -r(x + v) - r'(x + v)
+        by plain iteration from v = 1, capped at 60 steps; an iterate equal
+        to the one before is the fixed point and ends it.
         """
-        if not isinstance(self.a.generator, LogPowerBound):
+        bound = self.a.generator
+        if not isinstance(bound, LogPowerBound):
             raise CensoredWindowError(
                 f"gauge: {self.a.name} carries no rate function, needed at x = {x:g}")
-        rate = self.a.generator.rate
-
-        def wv(v):
-            psi = 1.0 - v - rate(x + v)
-            if psi <= 0:
-                return -math.inf
-            return v + math.log(psi)
-
-        # the peak sits near v = ln(x + v) + 1; leave generous headroom
-        v_hi = 2.0 * math.log(max(x, 10.0)) + 50.0
-        return wv(_ternary_max(wv, -5.0, v_hi, 120))
+        v = 1.0
+        for _ in range(60):
+            v_next = -bound.rate(x + v) - bound.deriv(x + v)
+            if v_next == v:
+                break
+            v = v_next
+        return v + math.log(1.0 - v - bound.rate(x + v))
 
     def log_h(self, log_t: float) -> float:
         """ln h(t) for ln t possibly far beyond float range of t itself."""

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -101,6 +102,40 @@ def test_taylor_majorant_grid():
             assert pair.log_lhs <= pair.log_rhs + math.log(1 + 1e-9)
 
 
+def test_taylor_majorant_reads_the_conjugate_without_building_it(monkeypatch):
+    M = sc.gevrey(0.25, P=4096)
+    Mstar = tr.conjugate(M)
+    ref = ex.omega(Mstar, 2.0 * 1.5 * 7.0)
+
+    def refuse(self):
+        raise AssertionError("taylor_majorant built a WeightSequence")
+    monkeypatch.setattr(sc.WeightSequence, "__post_init__", refuse)
+    pair = ex.taylor_majorant(M, 1.5, 1.0, 7.0)
+    assert pair.log_rhs == math.log(2.0) + ref.value
+
+
+def test_reported_values_past_float_range_are_inf():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pair = ex.taylor_majorant(sc.gevrey(0.3, P=4096), 1.0, 1.0, 100.0)
+        F = ex.CoefficientFunction(np.concatenate([[800.0], np.full(11, -np.inf)]))
+        wn = ex.weighted_sup_norm(F, sc.gevrey(1), 1.0, [0.1])
+    assert pair.log_rhs > 709.0 and pair.rhs == math.inf
+    assert pair.lhs == pytest.approx(math.exp(pair.log_lhs), rel=1e-15)  # still in float range
+    assert wn.log_value == 800.0 and wn.value == math.inf
+
+
+@pytest.mark.parametrize("h, A, z", [
+    (math.nan, 1.0, 1.0), (1.0, 1.0, math.nan), (math.inf, 1.0, 1.0),
+    (1.0, 1.0, math.inf), (1e200, 1.0, 1e200), (1.0, math.nan, 1.0),
+    (1.0, math.inf, 1.0), (0.0, 1.0, 1.0), (1.0, 1.0, -1.0),
+], ids=["h-nan", "z-nan", "h-inf", "z-inf", "hz-overflow", "A-nan", "A-inf",
+        "h-zero", "z-negative"])
+def test_taylor_majorant_rejects_invalid_arguments(h, A, z):
+    with pytest.raises(InvalidSequenceError):
+        ex.taylor_majorant(sc.gevrey(0.5), h, A, z)
+
+
 def test_taylor_majorant_refuses_untrusted():
     with pytest.raises(UntrustedEvaluationError) as err:
         ex.taylor_majorant(sc.gevrey(0.5, P=64), 2.0, 1.0, 40.0)
@@ -188,6 +223,15 @@ def test_weighted_norm_exponent_and_inclusion():
     nn = ex.weighted_sup_norm(F, N, 1.0, grid)
     nm = ex.weighted_sup_norm(F, Mbig, 1.0, grid)
     assert nn.log_value <= nm.log_value + 1e-12
+
+
+@pytest.mark.parametrize("c, exponent", [
+    (0.0, 1.0), (math.nan, 1.0), (1.0, 0.0), (1.0, math.nan), (1.0, math.inf),
+], ids=["c-zero", "c-nan", "exponent-zero", "exponent-nan", "exponent-inf"])
+def test_weighted_norm_rejects_invalid_scales(c, exponent):
+    with pytest.raises(InvalidSequenceError):
+        ex.weighted_sup_norm(ex.CoefficientFunction(np.zeros(12)),
+                             sc.gevrey(1), c, [0.5, 2.0], exponent=exponent)
 
 
 def test_weighted_norm_untrusted():

@@ -33,10 +33,13 @@ def test_markin_demo(tmp_path, capsys):
     assert rows[0] == "n,log_k,eps,log_g,log_c" and len(rows) == 9
 
 
-# md5 of the demo's stdout and CSV, recorded before the demonstration moved
-# into operator_lab.ring_demonstration
+# md5 of the demo's stdout and CSV.  The --minimal-k stdout dates from
+# before the demonstration moved into operator_lab.ring_demonstration; the
+# default stdout and the CSV were re-recorded when log_g's astronomic peak
+# came to be solved from its stationarity equation (the printed log sum has
+# a condition number near ln k ~ 1.6e10, so last-bit changes in ln g show)
 @pytest.mark.parametrize("flags, md5", [
-    ([], "16a8b0b9cd271e12dfd5f1b72421fb6f"),
+    ([], "41ae3f60bd929ea1721a1ec7aa8b0efc"),
     (["--minimal-k"], "06318c618af977a5e5227d71d1791f83"),
 ])
 def test_markin_demo_stdout_pinned(capsys, flags, md5):
@@ -47,7 +50,7 @@ def test_markin_demo_stdout_pinned(capsys, flags, md5):
 def test_markin_demo_csv_pinned(tmp_path):
     out = tmp_path / "rings.csv"
     assert load("markin_demo").main(["--terms", "30", "--csv", str(out)]) == 0
-    assert hashlib.md5(out.read_bytes()).hexdigest() == "000c92bbbe28252cbef84162e2733447"
+    assert hashlib.md5(out.read_bytes()).hexdigest() == "8d4679436596d0527507311a34b07e35"
 
 
 def test_omega_profile(tmp_path, capsys):

@@ -1,14 +1,15 @@
 """Bit-for-bit pins of the one-dimensional searches and of omega_mp.
 
 The ring thresholds k(n) and the omega values at ln t ~ 1e10-1e15 come out
-of ternary searches (log_h, log_g, the member bound record) and a
-bracket-then-bisect search (build_counterexample) with fixed step counts,
-and out of omega_mp's inverse quotient, which stays within 1e-9 of its
-bisection fallback and below it by no more than rounding (1e-40).  These
-fix the bytes of the ``verify`` report, so any change to a search's
-bracket, step count or midpoint rule shows up here first.  Floats are
-pinned via float.hex(), mpf values as 50-digit strings at 50-digit working
-precision.
+of ternary searches with fixed step counts (log_h in float range, the
+member bound record), of the fixed point of the astronomic peak's
+stationarity equation (log_h and log_g past float range), of a
+bracket-then-bisect search (build_counterexample), and of omega_mp's
+inverse quotient, which stays within 1e-9 of its bisection fallback and
+below it by no more than rounding (1e-40).  These fix the bytes of the
+``verify`` report, so any change to a search's bracket, step count,
+midpoint rule or iteration shows up here first.  Floats are pinned via
+float.hex(), mpf values as 50-digit strings at 50-digit working precision.
 """
 
 import mpmath as mp
@@ -42,7 +43,7 @@ LOG_H_ASTRO = {
 # 600 still goes through log_h's float range; the rest use offset coordinates
 LOG_G = {
     600.0: "0x1.4136c0949de80p+1",
-    1e4: "0x1.f4c9fc301a6f2p+1",
+    1e4: "0x1.f4c9fc301a6f4p+1",
     1e10: "0x1.5a3b9fabc5207p+3",
     1e15: "0x1.0938488022dfap+4",
 }
@@ -67,8 +68,8 @@ LOGK_MINIMAL = [
 ]
 # the demonstration's floor 11, slope 0.05: ln k(n) ~ 1e10, found by bisection
 LOGK_FLOOR = [
-    "0x1.d84cdb4fb5fd3p+33", "0x1.04fc79e07a9bep+34",
-    "0x1.206f349e2b077p+34", "0x1.3ec4f14d268bdp+34",
+    "0x1.d84cdb4fb5fb6p+33", "0x1.04fc79e07a9bep+34",
+    "0x1.206f349e2b077p+34", "0x1.3ec4f14d268aap+34",
 ]
 
 

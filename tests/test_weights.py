@@ -355,6 +355,52 @@ def test_markin_gauge_growth_and_members():
                                                          abs=5e-2)
 
 
+@pytest.mark.parametrize("u", [7.0, 1e3, 1e10])
+def test_log_power_bound_deriv_is_the_rate_slope(u):
+    bound, h = sc.LogPowerBound(), 1e-4 * u
+    central = (bound.rate(u + h) - bound.rate(u - h)) / (2 * h)
+    assert bound.deriv(u) == pytest.approx(central, rel=1e-7)
+
+
+def _exact_peak(x):
+    """40-digit max of v + ln(1 - v + ln(x + v)), the Markin model."""
+    import mpmath as mp
+
+    with mp.workdps(40):
+        X = mp.mpf(x)
+        v = mp.findroot(lambda v: v - mp.log(X + v) - 1 / (X + v), mp.log(X) + 1)
+        return v + mp.log(1 - v + mp.log(X + v))
+
+
+def _ternary_peak(x):
+    """The same maximum by ternary search on [-5, 2 ln x + 50]."""
+    def wv(v):
+        psi = 1.0 - v + math.log(x + v)
+        return v + math.log(psi) if psi > 0 else -math.inf
+    return wv(wt._ternary_max(wv, -5.0, 2.0 * math.log(x) + 50.0, 120))
+
+
+def test_astronomic_peak_solves_its_stationarity_equation(markin_gauge):
+    # 300 log-uniform x, log_g's and log_h's arguments at the pinned ln t,
+    # and one x near the top of float range
+    rng = np.random.default_rng(0)
+    xs = [float(x) for x in np.exp(rng.uniform(math.log(598), math.log(1e15), 300))]
+    for log_t in (600.0, 1e4, 1e10, 1e15):
+        xs += [log_t - 2 * wt.LN2, log_t - wt.LN2]
+    xs.append(1e300)
+    worst_solved = worst_ternary = 0.0
+    for x in xs:
+        exact = _exact_peak(x)
+        solved = markin_gauge._astronomic_peak(x)
+        assert math.isfinite(solved)
+        err = float(abs(solved - exact) / abs(exact))
+        assert err <= 2.5e-16, x
+        worst_solved = max(worst_solved, err)
+        worst_ternary = max(worst_ternary,
+                            float(abs(_ternary_peak(x) - exact) / abs(exact)))
+    assert worst_solved <= worst_ternary
+
+
 def test_gauge_rejects_unbounded_member():
     with pytest.raises(PreconditionError):
         wt.build_gauge(wt.markin_bound(512), [sc.qgevrey(2)])
