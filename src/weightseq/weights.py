@@ -16,6 +16,7 @@ still diverges for every sequence N whose little-m is dominated by a.
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import csv
 import math
@@ -32,6 +33,7 @@ from .seqcore import (ClosedForm, LogPowerBound, WeightSequence,
                       little_m, quotients)
 
 LN2 = math.log(2.0)
+_EPS = float(np.finfo(float).eps)
 
 # h-series evaluation: direct summation while the peak index stays below this
 DIRECT_KMAX = 2_000_000
@@ -109,20 +111,33 @@ def counting(M: WeightSequence, t: float) -> int:
     if t < 0:
         raise InvalidSequenceError("counting: t must be >= 0")
     logt = math.log(t) if t > 0 else -math.inf
-    return _window_count(M, quotients(M)[1:], logt)
+    return _window_count(M, logt)
 
 
-def _window_count(M: WeightSequence, logmu: np.ndarray, logt: float) -> int:
-    """#{p : ln mu_p <= ln t} over logmu = ln mu_1..ln mu_P, for any window.
+def _window_count(M: WeightSequence, logt: float) -> int:
+    """#{p >= 1 : ln mu_p <= ln t} over the window, for any window.
 
     Censored from the largest windowed quotient on: log-convexity allows
-    mu_{P+1} = mu_P, so a tie with it may hide uncounted terms.
+    mu_{P+1} = mu_P, so a tie with it may hide uncounted terms.  An exactly
+    sorted window is counted by bisection, any other by a scan.
     """
-    if logt >= logmu.max():
+    if logt >= M._max_logmu:
         raise CensoredWindowError(
             f"counting: t={math.exp(logt):g} reaches the largest windowed "
             f"quotient of {M.name}", required_P=M.P + 1)
-    return int(np.count_nonzero(logmu <= logt))
+    if M._min_logmu_step >= 0.0:
+        return _sorted_count(M.logM, logt)
+    return int(np.count_nonzero(np.diff(M.logM) <= logt))
+
+
+def _sorted_count(logM: np.ndarray, logt: float) -> int:
+    """#{p >= 1 : ln mu_p <= ln t} on an exactly sorted window, in O(log P).
+
+    Each probe forms ln mu_p by the subtraction np.diff makes, so the count
+    equals the scan's.
+    """
+    return bisect.bisect_right(range(1, logM.size), logt,
+                               key=lambda p: logM[p] - logM[p - 1])
 
 
 # ---------------------------------------------------------------------------
@@ -140,12 +155,46 @@ def omega(M: WeightSequence, t: float) -> OmegaValue:
     """omega_M(t) on the stored window, clamped at >= 0 (p = 0 term).
 
     trusted is False when the supremum is attained at the truncation
-    boundary, i.e. the window may be censoring the true value.
+    boundary, i.e. the window may be censoring the true value.  On an
+    exactly sorted window the result is read at p = Sigma_M(t) in O(log P)
+    unless a quotient lies near t (``_sorted_omega``); the scan answers
+    otherwise, with the same result.
     """
     _require_finite("omega", t)
     if t < 0:
         raise InvalidSequenceError("omega: t must be >= 0")
+    if t > 0 and M._min_logmu_step >= 0.0:
+        res = _sorted_omega(M, math.log(t))
+        if res is not None:
+            return res
     return _window_omega(M.logM, t)
+
+
+def _sorted_omega(M: WeightSequence, logt: float) -> Optional[OmegaValue]:
+    """The scan's (value, argmax, trusted), read at k = Sigma_M(t) on an
+    exactly sorted window; None when ln mu_k or ln mu_{k+1} lies within eta
+    of ln t.
+
+    With u = 2^-53, B = P |ln t| + max |ln M_p| and eta = 8uB: a scanned
+    term T_p = fl(fl(p ln t) - ln M_p) is within 2.01uB of its exact value,
+    and an exact quotient within 2uB of its rounded one.  The rounded
+    quotients are sorted, and those on each side of k are more than eta
+    from ln t, so every exact step towards k raises the term by more than
+    eta - 2uB > 4.02uB, which no pair of rounded terms can undo: T_k is the
+    strict, unique maximum.  The scan's argmax is then k (0 when T_k <= 0),
+    and its last index within the tie tolerance is P only if T_P is.
+    """
+    logM, P = M.logM, M.P
+    k = _sorted_count(logM, logt)
+    eta = 4.0 * _EPS * (P * abs(logt) + M._max_abs_logM)
+    if k > 0 and not logt - (logM[k] - logM[k - 1]) > eta:
+        return None
+    if k < P and not (logM[k + 1] - logM[k]) - logt > eta:
+        return None
+    best = float(k * logt - logM[k])
+    tol = 1e-12 * max(1.0, abs(best))
+    trusted = bool(P * logt - logM[P] < best - tol)
+    return OmegaValue(max(best, 0.0), k if best > 0.0 else 0, trusted)
 
 
 def _window_omega(logM: np.ndarray, t: float) -> OmegaValue:
@@ -179,7 +228,12 @@ def omega_extended(M: WeightSequence, t: float) -> OmegaValue:
     if res.trusted:
         return res
     term, p = _omega_step(M, math.log(t))
-    return OmegaValue(float(term), int(p), True)
+    value = float(term)
+    if value == math.inf:
+        raise UntrustedEvaluationError(
+            f"omega_extended: omega of {M.name} at t={t:g} passes float "
+            "range; omega_mp takes ln t and returns it in mpmath")
+    return OmegaValue(value, int(p), True)
 
 
 def _step_term(form: ClosedForm, logt, p_star):
@@ -249,6 +303,9 @@ def _omega_step(M: WeightSequence, log_t):
         raise PreconditionError(f"omega_mp: {M.name} is not log-convex")
     if form.log_mu_mp(1) > log_t:
         return mp.mpf(0), 0
+    if form.a == 0 and form.b == 0:  # every ln mu_p is 0 <= ln t
+        raise UntrustedEvaluationError(
+            f"omega_mp: quotients of {M.name} never exceed the argument")
     a = form.a if form.a > 0 else 1.0  # a <= 0: ln p* ~ ln ln t, well covered
     dps = OMEGA_MP_DIGITS + math.ceil(math.log10(abs(float(log_t)) + a)
                                       - math.log10(a))
@@ -322,6 +379,10 @@ def default_t_grid(M: WeightSequence, t_min: float = 1.0) -> np.ndarray:
     hi = min(valid_to(M), math.exp(60.0))
     if hi <= t_min:
         raise CensoredWindowError(f"no trusted omega range above {t_min} for {M.name}")
+    if hi / t_min == math.inf:
+        raise InvalidSequenceError(
+            f"default_t_grid: t_min={t_min:g} is more than float range below "
+            f"the trust bound {hi:g} of {M.name}")
     n = int(math.floor(math.log(hi / t_min) / math.log(1.2)))
     return t_min * 1.2 ** np.arange(n + 1)
 
@@ -329,9 +390,9 @@ def default_t_grid(M: WeightSequence, t_min: float = 1.0) -> np.ndarray:
 def integral_representation_residual(M: WeightSequence, t: float) -> float:
     """|omega_M(t) - sum_p p (ln min(mu_{p+1}, t) - ln mu_p)| over mu_p <= t.
 
-    Both sides are computed independently (sup scan vs exact piecewise
-    integration of the counting function); requires log-convex M and an
-    uncensored argument.
+    Both sides are computed independently (omega's supremum vs exact
+    piecewise integration of the counting function over the k + 1 quotients
+    it reads); requires log-convex M and an uncensored argument.
     """
     _require_finite("integral_representation_residual", t)
     if not is_log_convex(M):
@@ -339,10 +400,10 @@ def integral_representation_residual(M: WeightSequence, t: float) -> float:
     res = omega(M, t)
     if not res.trusted:
         raise CensoredWindowError(f"omega untrusted at t={t:g} for {M.name}")
-    logmu = quotients(M)[1:]
     logt = math.log(t) if t > 0 else -math.inf
-    k = _window_count(M, logmu, logt)  # < P, so mu_{k+1} is windowed
-    upper = np.minimum(logmu[1 : k + 1], logt)
+    k = _window_count(M, logt)  # < P, so mu_{k+1} is windowed
+    logmu = np.diff(M.logM[: k + 2])  # ln mu_1..ln mu_{k+1}
+    upper = np.minimum(logmu[1:], logt)
     p = np.arange(1, k + 1, dtype=float)
     integral = float(np.sum(p * (upper - logmu[:k])))
     return abs(res.value - integral)

@@ -1,14 +1,18 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from weightseq import seqcore as sc
 from weightseq import transforms as tr
 from weightseq import weights as wt
 from weightseq.errors import (CensoredWindowError, InvalidSequenceError,
-                              PreconditionError, UntrustedEvaluationError)
+                              PreconditionError, UntrustedEvaluationError,
+                              WeightSeqError)
 
 
 # ---------------------------------------------------------------------------
@@ -29,6 +33,11 @@ def test_counting_examples():
     D = tr.dual(sc.gevrey(2), P_out=5000)
     with pytest.raises(CensoredWindowError):
         wt.counting(D, math.exp(sc.quotients(D)[-1]))
+
+
+def _same_omega(a, b):
+    return ((a.value, a.argmax, a.trusted) == (b.value, b.argmax, b.trusted)
+            and math.copysign(1.0, a.value) == math.copysign(1.0, b.value))
 
 
 # every windowed quotient, 300 random ln t in [-1, ln mu_max + 1] and
@@ -63,6 +72,7 @@ def test_counting_sweep(name):
     ordered = np.sort(logmu)
     mu_max = math.exp(logmu.max())
     for t in _probe_args(logmu):
+        assert _same_omega(wt.omega(M, t), wt._window_omega(M.logM, t))
         logt = math.log(t)
         if logt >= logmu.max():
             with pytest.raises(CensoredWindowError):
@@ -142,6 +152,55 @@ def test_omega_step_identity():
             assert abs(w.value - (p * math.log(r) - M.logM[p])) <= 1e-9
 
 
+# exactly sorted windows: integer quotient steps (runs of equal quotients,
+# exact sums) at several scales and offsets, and float steps
+sorted_windows = st.builds(
+    lambda steps, scale, start: np.concatenate(
+        [[0.0], np.cumsum(start + scale * np.cumsum(steps))]),
+    st.lists(st.one_of(st.integers(0, 3).map(float),
+                       st.floats(0.0, 2.0, allow_nan=False)),
+             min_size=8, max_size=200),
+    st.sampled_from([1.0, 0.5, 1e-3, 7.25, 1e-9]),
+    st.sampled_from([0.0, -5.0, 1.0, -0.25]))
+
+
+@given(sorted_windows, st.lists(st.floats(-30.0, 30.0), max_size=20))
+@settings(max_examples=150, deadline=None)
+def test_sorted_omega_and_counting_match_the_scans(logM, drawn):
+    # the O(log P) reads against the full scans: at every quotient, at its
+    # nextafter neighbours (the ties the strict-peak rule hands to the
+    # scan) and at random arguments
+    M = sc.custom(logM)
+    assume(M._min_logmu_step >= 0.0)
+    logmu = np.diff(M.logM)
+    exact = [t for q in logmu if q < 700.0 for t in
+             (math.exp(q), np.nextafter(math.exp(q), 0.0),
+              np.nextafter(math.exp(q), math.inf))]
+    for t in exact + [math.exp(v) for v in drawn]:
+        t = float(t)
+        assert _same_omega(wt.omega(M, t), wt._window_omega(M.logM, t))
+        logt = math.log(t) if t > 0 else -math.inf
+        if logt >= logmu.max():
+            with pytest.raises(CensoredWindowError):
+                wt.counting(M, t)
+        else:
+            assert wt.counting(M, t) == np.count_nonzero(logmu <= logt)
+
+
+def test_window_queries_cache_no_array():
+    # the cached window views are scalars: a kept quotient array would live
+    # as long as the sequence
+    M = sc.gevrey(0.5, P=10**5)
+    wt.omega(M, 50.0)
+    wt.counting(M, 50.0)
+    sc.is_log_convex(M)
+    wt.integral_representation_residual(M, 50.0)
+    arrays = [k for k, v in vars(M).items() if isinstance(v, np.ndarray)]
+    assert arrays == ["logM"]
+    q = sc.quotients(M)
+    assert q.flags.writeable and q is not sc.quotients(M)
+
+
 def test_valid_to_matches_last_quotient_for_lc():
     M = sc.gevrey(2)
     assert wt.valid_to(M) == pytest.approx(float(M.P) ** 2, rel=1e-9)
@@ -165,6 +224,10 @@ def test_omega_extended():
     assert r.value == float(wt.omega_mp(M, math.log(t)))
     with pytest.raises(PreconditionError):
         wt.omega_extended(tr.conjugate(sc.qgevrey(2)), 1e6)
+    # a term past float range is refused, never returned as a trusted inf
+    for alpha, t in ((0.5, 1e200), (0.9, 1e300)):
+        with pytest.raises(UntrustedEvaluationError, match="omega_mp"):
+            wt.omega_extended(sc.gevrey(alpha), t)
 
 
 def test_omega_mp_agrees_with_extended():
@@ -273,6 +336,23 @@ def test_omega_mp_mpmath_call_count(monkeypatch):
     assert counts["exp"] < 20 and counts["log"] < 20
 
 
+def test_omega_mp_refuses_constant_quotients_at_once(monkeypatch):
+    # every ln mu_p of gevrey(0) is 0, so omega is infinite for ln t > 0;
+    # the bisection used to double ln p about 1000 times before refusing
+    import mpmath as mp
+    calls = []
+
+    def counted(*args, _fn=mp.exp, **kwargs):
+        calls.append(1)
+        return _fn(*args, **kwargs)
+    monkeypatch.setattr(mp, "exp", counted)
+    for log_t in (0.0, 1.0, 1e300):
+        with pytest.raises(UntrustedEvaluationError):
+            wt.omega_mp(sc.gevrey(0, P=64), log_t)
+    assert wt.omega_mp(sc.gevrey(0, P=64), -1.0) == 0
+    assert not calls
+
+
 @pytest.mark.parametrize("spec", ["gevrey:0.1", "gevrey:0.5", "qgevrey:2"])
 def test_omega_mp_keeps_its_digits_at_15(spec):
     # q ln t - ln M_q cancels about log10(ln p*) digits (16 for gevrey(0.1)
@@ -295,6 +375,39 @@ def test_non_finite_arguments_rejected(fn, t):
         fn(sc.gevrey(2), t)
 
 
+EDGE_ARGS = (math.nan, math.inf, -math.inf, 0.0, -1.0, 5e-324, 1e-300, 1e300)
+
+
+def _window_calls(M):
+    aw = wt.AssociatedWeight.of(M)
+    return {
+        "omega": lambda x: wt.omega(M, x).value,
+        "counting": lambda x: wt.counting(M, x),
+        "omega_extended": lambda x: wt.omega_extended(M, x).value,
+        "residual": lambda x: wt.integral_representation_residual(M, x),
+        "aw.eval": aw.eval,
+        "aw.argmax": aw.argmax,
+        "aw.trusted": aw.trusted,
+        "valid_to": lambda x: wt.valid_to(M),
+        "default_t_grid": lambda x: wt.default_t_grid(M, x),
+    }
+
+
+@pytest.mark.parametrize("M", [sc.gevrey(0.5), sc.gevrey(0.9), sc.qgevrey(2),
+                               sc.gevrey(0)], ids=lambda M: M.name)
+def test_window_queries_at_edge_arguments(M):
+    # each call returns a finite result or raises a WeightSeqError, quietly
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name, call in _window_calls(M).items():
+            for x in EDGE_ARGS:
+                try:
+                    out = call(x)
+                except WeightSeqError:
+                    continue
+                assert np.all(np.isfinite(out)), (name, x, out)
+
+
 # ---------------------------------------------------------------------------
 # integral representation and counting scaling
 # ---------------------------------------------------------------------------
@@ -309,6 +422,28 @@ def test_integral_representation():
     worst = max(wt.integral_representation_residual(M, float(t))
                 for t in grid[grid < wt.valid_to(M) * 0.9])
     assert worst <= 1e-9
+
+
+def _residual_over_the_whole_window(M, t):
+    """The residual as it read every quotient of the window."""
+    res = wt.omega(M, t)
+    logmu = sc.quotients(M)[1:]
+    logt = math.log(t) if t > 0 else -math.inf
+    k = int(np.count_nonzero(logmu <= logt))
+    upper = np.minimum(logmu[1 : k + 1], logt)
+    p = np.arange(1, k + 1, dtype=float)
+    return abs(res.value - float(np.sum(p * (upper - logmu[:k]))))
+
+
+@pytest.mark.parametrize("M", [sc.gevrey(2), sc.gevrey(0.5, P=4096),
+                               sc.qgevrey(1.5, P=300),
+                               tr.dual(sc.gevrey(2), P_out=5000)], ids=lambda M: M.name)
+def test_integral_residual_reads_only_the_window_head(M):
+    rng = np.random.default_rng(11)
+    for log_t in rng.uniform(-1.0, math.log(wt.valid_to(M)) - 1e-6, 60):
+        t = math.exp(log_t)
+        assert (wt.integral_representation_residual(M, t)
+                == _residual_over_the_whole_window(M, t))
 
 
 def test_counting_scaling():
