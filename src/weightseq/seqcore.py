@@ -59,6 +59,10 @@ class ClosedForm:
     a: float = 0.0
     b: float = 0.0
 
+    def __post_init__(self):
+        if not (math.isfinite(self.a) and math.isfinite(self.b)):
+            raise InvalidSequenceError(f"non-finite closed form {self}")
+
     def __call__(self, p):
         """ln M_p in float for a scalar or an array of indices."""
         p = np.asarray(p, dtype=float)
@@ -86,17 +90,27 @@ class ClosedForm:
     def inverse_mu_mp(self, log_t):
         """Largest p with ln mu_p <= log_t, in mpmath, or None.
 
-        Closed only for a one-term form: floor(exp(log_t / a)) when b = 0
-        and a > 0, floor((log_t / b + 1) / 2) when a = 0 and b > 0.  Past
-        the working precision p +- 1 round to p, so callers check the
-        answer against log_mu_mp.
+        floor(exp(log_t / a)) when b = 0 < a, floor((log_t / b + 1) / 2)
+        when a = 0 < b, and for a != 0 < b the root of a ln p + b (2p - 1) =
+        log_t, p = (a / 2b) W((2b / a) e^((log_t + b) / a)), with Lambert's
+        W on its principal branch for a > 0 and on k = -1 (the root past the
+        minimum at p = -a / 2b) for a < 0; 0 where W has no real value.
+        None when b < 0 or b = 0 >= a: the quotients do not tend to infinity.
+        Callers check with log_mu_mp: p +- 1 round to p past the working
+        precision, and for a < 0 no integer may lie between the roots.
         """
         import mpmath as mp
         if self.b == 0 and self.a > 0:
             return mp.floor(mp.exp(log_t / mp.mpf(self.a)))
         if self.a == 0 and self.b > 0:
             return mp.floor((log_t / mp.mpf(self.b) + 1) / 2)
-        return None
+        if not self.b > 0:
+            return None
+        a, b = mp.mpf(self.a), mp.mpf(self.b)
+        z = 2 * b / a * mp.exp((log_t + b) / a)
+        if z < -1 / mp.e:
+            return mp.mpf(0)
+        return mp.floor(a / (2 * b) * mp.lambertw(z, 0 if a > 0 else -1).real)
 
     def conjugate(self) -> "ClosedForm":
         return ClosedForm(1.0 - self.a, -self.b)

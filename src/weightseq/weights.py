@@ -39,9 +39,7 @@ _EPS = float(np.finfo(float).eps)
 DIRECT_KMAX = 2_000_000
 # relative mass cutoff for series truncation past the peak
 SERIES_RELATIVE_CUTOFF = 1e-16
-# omega_mp's bisection brackets ln p* starting from [0, this]
-OMEGA_MP_U_START = 8.0
-# steps of the argument down by one unit of precision before bisecting
+# steps of the argument down by one unit of precision before giving up
 OMEGA_MP_STEP_DOWNS = 4
 # digits omega_mp keeps after its cancellation: a float's 15 plus a guard
 OMEGA_MP_DIGITS = 18
@@ -253,33 +251,19 @@ def _step_term(form: ClosedForm, logt, p_star):
     return best
 
 
-def _omega_mp_bisect(M: WeightSequence, logt):
-    """_omega_step by bisection on ln p: the fallback and the test oracle."""
-    import mpmath as mp
-
-    form = M.generator
-    cap = mp.mpf(max(1e12, 1e6 * (1.0 + abs(float(logt)))))
-    bracket = _bracket_bisect(lambda u: form.log_mu_mp(mp.exp(u)) <= logt,
-                              mp.mpf(0), mp.mpf(OMEGA_MP_U_START), cap, 70)
-    if bracket is None:
-        raise UntrustedEvaluationError(
-            f"omega_mp: quotients of {M.name} never exceed the argument")
-    best = _step_term(form, logt, mp.floor(mp.exp(bracket[0])))
-    return (mp.mpf(0), 0) if best is None else best
-
-
 def omega_mp(M: WeightSequence, log_t):
     """(log-domain argument) omega for log-convex closed-form sequences, mpmath result.
 
     Accepts ln t as a float (possibly ~1e10) and returns omega_M(t) as an
     mpf: the term at the largest p with mu_p <= t.  That p comes from the
-    form's inverse quotient where it has one (one-term forms).  Where p
-    +- 1 round to p at the working precision and none of them passes
+    form's inverse quotient (ClosedForm.inverse_mu_mp).  Where p +- 1
+    round to p at the working precision and none of them passes
     mu_p <= t, the argument is stepped down by one unit of relative
-    precision, at most OMEGA_MP_STEP_DOWNS times; a mixed form, or a p
-    still unresolved, goes to the bisection on ln p.  The closed-form
-    quotients are used directly: a loggamma difference at p ~ exp(1000)
-    would cancel catastrophically at any workable precision.
+    precision, at most OMEGA_MP_STEP_DOWNS times; a p still unresolved
+    raises UntrustedEvaluationError.  Quotients that fall past the window
+    (b < 0, or b = 0 > a) give omega = inf at every t > 0: PreconditionError.
+    The closed-form quotients are used directly: a loggamma difference at
+    p ~ exp(1000) would cancel catastrophically at any workable precision.
 
     The term p ln t - ln M_p cancels about log10(ln p*) <= log10(ln t / a)
     digits; the call raises the working precision to OMEGA_MP_DIGITS plus
@@ -301,6 +285,9 @@ def _omega_step(M: WeightSequence, log_t):
             f"omega_mp: {M.name} has no closed-form generator")
     if not is_log_convex(M):
         raise PreconditionError(f"omega_mp: {M.name} is not log-convex")
+    if (form.b < 0 or form.b == 0 > form.a) and log_t > -math.inf:
+        raise PreconditionError(f"omega_mp: quotients of {M.name} fall "
+                                "past the window, so omega is infinite")
     if form.log_mu_mp(1) > log_t:
         return mp.mpf(0), 0
     if form.a == 0 and form.b == 0:  # every ln mu_p is 0 <= ln t
@@ -313,12 +300,11 @@ def _omega_step(M: WeightSequence, log_t):
         logt = mp.mpf(log_t)
         for k in range(OMEGA_MP_STEP_DOWNS + 1):
             p_hat = form.inverse_mu_mp(logt * (1 - k * mp.eps))
-            if p_hat is None:
-                break
             best = _step_term(form, logt, p_hat)
             if best is not None:
                 return best
-        return _omega_mp_bisect(M, logt)
+        raise UntrustedEvaluationError(f"omega_mp: p* of {M.name} at ln t = "
+                                       f"{log_t} unresolved at {mp.mp.dps} digits")
 
 
 def valid_to(M: WeightSequence) -> float:

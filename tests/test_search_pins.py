@@ -5,11 +5,12 @@ of ternary searches with fixed step counts (log_h in float range, the
 member bound record), of the fixed point of the astronomic peak's
 stationarity equation (log_h and log_g past float range), of a
 bracket-then-bisect search (build_counterexample), and of omega_mp's
-inverse quotient, which stays within 1e-9 of its bisection fallback and
-below it by no more than rounding (1e-40).  These fix the bytes of the
-``verify`` report, so any change to a search's bracket, step count,
-midpoint rule or iteration shows up here first.  Floats are pinned via
-float.hex(), mpf values as 50-digit strings at 50-digit working precision.
+inverse quotient, which stays within 1e-9 of the bisection oracle in
+tests/_omega_oracle.py and below it by no more than rounding (1e-40).
+These fix the bytes of the ``verify`` report, so any change to a search's
+bracket, step count, midpoint rule or iteration shows up here first.
+Floats are pinned via float.hex(), mpf values as 50-digit strings at
+50-digit working precision.
 """
 
 import mpmath as mp
@@ -17,8 +18,9 @@ import pytest
 
 from weightseq import gevrey, markin_bound
 from weightseq.operator_lab import build_counterexample
-from weightseq.weights import (_member_bound_record, _omega_mp_bisect,
-                               build_gauge, omega_mp)
+from weightseq.weights import _member_bound_record, build_gauge, omega_mp
+
+from _omega_oracle import _omega_mp_bisect
 
 
 @pytest.fixture(scope="module")
@@ -48,7 +50,7 @@ LOG_G = {
     1e15: "0x1.0938488022dfap+4",
 }
 # the term at the inverse quotient's p*; at alpha = 0.5, ln p* = 2 ln t is
-# an integer the bisection's dyadic midpoints hit, so those pins are its own
+# an integer the oracle's dyadic midpoints hit, so those pins are its own
 OMEGA_MP = {
     0.1: {1e4: "2.8066633604105432236939588361062524051011397459966e+43428",
           1e10: "2.1143669141793896274188102230251941023149292009017e+43429448189",

@@ -71,6 +71,11 @@ def test_generator_consistency_enforced():
     bad[5] += 1e-6
     with pytest.raises(InvalidSequenceError):
         sc.WeightSequence("broken", bad, G.generator)
+    # a non-finite coefficient would pass as a generator (NaN compares
+    # False); omega_mp would find no step for it
+    for a, b in ((math.nan, 0.0), (0.5, math.inf)):
+        with pytest.raises(InvalidSequenceError, match="non-finite"):
+            sc.ClosedForm(a, b)
 
 
 def test_closed_form_builtins_evaluate_their_formula():
@@ -274,11 +279,13 @@ def test_json_family_mismatch_rejected(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(InvalidSequenceError):
         sc.load_sequence(path)
-    # malformed family blocks: missing or non-numeric parameter, non-object
-    # family or params
+    # malformed family blocks: missing, non-numeric or non-finite parameter,
+    # non-object family or params
     doc["logM"][3] -= 0.5
     for family in ({"type": "gevrey", "params": {}},
                    {"type": "closed-form", "params": {"a": 0.5}},
+                   {"type": "closed-form", "params": {"a": math.nan, "b": 0.0}},
+                   {"type": "closed-form", "params": {"a": 0.5, "b": math.inf}},
                    {"type": "closed-form", "params": {"a": "half", "b": 0.0}},
                    {"type": "gevrey", "params": {"alpha": "half"}},
                    {"type": "gevrey", "params": "alpha"},

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import warnings
@@ -13,6 +14,8 @@ from weightseq import weights as wt
 from weightseq.errors import (CensoredWindowError, InvalidSequenceError,
                               PreconditionError, UntrustedEvaluationError,
                               WeightSeqError)
+
+from _omega_oracle import _omega_mp_bisect
 
 
 # ---------------------------------------------------------------------------
@@ -215,8 +218,8 @@ def test_omega_extended():
         r.argmax * math.log(t) - 0.5 * math.lgamma(r.argmax + 1), rel=1e-12)
     with pytest.raises(UntrustedEvaluationError):
         wt.omega_extended(sc.gevrey(0), 2.0)
-    # a mixed form has no inverse quotient: the step index comes from the
-    # bisection on ln p (at P = 64, a t past the window is still a float)
+    # a mixed form's step index comes from Lambert's W (at P = 64, a t past
+    # the window is still a float)
     M = sc.factorial_shift(sc.qgevrey(2, P=64), 1)
     t = math.exp(math.log(wt.valid_to(M)) + 3.0)
     r = wt.omega_extended(M, t)
@@ -237,6 +240,16 @@ def test_omega_mp_agrees_with_extended():
         a = wt.omega_extended(M, t)
         b = wt.omega_mp(M, math.log(t))
         assert abs(float(b) - a.value) <= 1e-6 * max(1.0, a.value)
+    # a mixed form inside its window, and past it where omega_extended reads
+    # the step index
+    M = sc.factorial_shift(sc.qgevrey(1.5, P=64), 2.5)
+    form = M.generator
+    for t in (50.0, 1e4, 1e40, 1e200):
+        a = wt.omega_extended(M, t)
+        b = wt.omega_mp(M, math.log(t))
+        assert abs(float(b) - a.value) <= 1e-6 * max(1.0, a.value)
+        assert form.log_mu(a.argmax) <= math.log(t) < form.log_mu(a.argmax + 1)
+    assert not wt.omega(M, 1e40).trusted and wt.omega_extended(M, 1e40).argmax > M.P
     with pytest.raises(UntrustedEvaluationError):
         wt.omega_mp(sc.gevrey(0), 1.0)
 
@@ -273,10 +286,22 @@ OMEGA_MP_FORMS = (
     + [f"qgevrey:{q:g}" for q in (1.5, 2.0, 3.0)])
 
 
+# mixed forms, a != 0 < b: shift:q:s is factorial_shift(qgevrey(q), s),
+# m:q is little_m(qgevrey(q))
+MIXED_FORMS = (
+    [f"shift:{q:g}:{s:g}" for q in (1.5, 2.0, 3.0) for s in (-0.5, 0.5, 1.0, 2.5)]
+    + ["m:2"])
+
+
 def _omega_mp_case(spec):
     kind, _, arg = spec.partition(":")
     if kind == "conjugate":
         return tr.conjugate(sc.gevrey(float(arg)))
+    if kind == "shift":
+        q, _, s = arg.partition(":")
+        return sc.factorial_shift(sc.qgevrey(float(q)), float(s))
+    if kind == "m":
+        return sc.little_m(sc.qgevrey(float(arg)))
     return sc.make_family(spec)
 
 
@@ -289,7 +314,7 @@ def test_omega_mp_inverse_quotient_against_bisection(spec):
     with mp.workdps(50):
         for log_t in (3.0, 50.0, 1e4, 1e10, 1e15):
             fast = wt.omega_mp(M, log_t)
-            ref = wt._omega_mp_bisect(M, mp.mpf(log_t))[0]
+            ref = _omega_mp_bisect(M, mp.mpf(log_t))[0]
             assert fast >= ref * (1 - mp.mpf("1e-40"))
             assert abs(fast - ref) <= mp.mpf("1e-9") * ref
             assert fast > 0 or ref == 0
@@ -297,7 +322,8 @@ def test_omega_mp_inverse_quotient_against_bisection(spec):
 
 @pytest.mark.parametrize("alpha, log_t", [(0.1, 3.1e13), (0.9, 1.3e11),
                                           (0.7, 7e12)])
-def test_omega_mp_steps_down_where_p_star_is_unresolved(alpha, log_t):
+def test_omega_mp_steps_down_where_p_star_is_unresolved(alpha, log_t,
+                                                       monkeypatch):
     # p* +- 1 round to p* at 50 digits and none passes mu_p <= t: the
     # argument is stepped down, never answered with 0
     import mpmath as mp
@@ -308,18 +334,52 @@ def test_omega_mp_steps_down_where_p_star_is_unresolved(alpha, log_t):
         assert p_hat + 1 == p_hat
         assert wt._step_term(M.generator, logt, p_hat) is None
         fast = wt.omega_mp(M, log_t)
-        ref = wt._omega_mp_bisect(M, logt)[0]
+        ref = _omega_mp_bisect(M, logt)[0]
         assert ref > 0 and fast >= ref * (1 - mp.mpf("1e-40"))
         assert abs(fast - ref) <= mp.mpf("1e-9") * ref
-
-
-def test_omega_mp_mixed_form_takes_the_bisection():
-    import mpmath as mp
-    M = sc.factorial_shift(sc.qgevrey(2), 1)
-    assert M.generator.inverse_mu_mp(mp.mpf(10)) is None
+    # with no step left, the unresolved p* is refused, never answered with 0
+    monkeypatch.setattr(wt, "OMEGA_MP_STEP_DOWNS", 0)
     with mp.workdps(50):
-        for log_t in (50.0, 1e4, 1e10):
-            assert wt.omega_mp(M, log_t) == wt._omega_mp_bisect(M, mp.mpf(log_t))[0]
+        with pytest.raises(UntrustedEvaluationError, match="unresolved at"):
+            wt.omega_mp(M, log_t)
+
+
+@pytest.mark.parametrize("spec", MIXED_FORMS)
+def test_omega_mp_mixed_form_against_the_oracle(spec):
+    # Lambert's W gives p* of a mixed form as the inverse quotient does for
+    # a one-term form
+    import mpmath as mp
+    M = _omega_mp_case(spec)
+    a, b = M.generator.a, M.generator.b
+    assert a != 0 < b
+    a = a if a > 0 else 1.0
+    for dps, log_t in itertools.product((15, 50), (3.0, 50.0, 1e4, 1e10, 1e15)):
+        with mp.workdps(dps):
+            fast = wt.omega_mp(M, log_t)
+        # the oracle at omega_mp's own working digits (a 15-digit caller's
+        # call raises them)
+        digits = wt.OMEGA_MP_DIGITS + math.ceil(math.log10(log_t + a)
+                                                - math.log10(a))
+        with mp.workdps(max(dps, digits)):
+            ref = _omega_mp_bisect(M, mp.mpf(log_t))[0]
+            assert fast >= ref * (1 - mp.mpf("1e-40"))
+            assert abs(fast - ref) <= mp.mpf("1e-9") * ref
+            assert fast > 0
+
+
+def test_omega_mp_lambert_w_edge():
+    # ln mu_p = -ln p + 0.4 (2p - 1) has its real minimum 0.377 at
+    # p = 1.25, below ln mu_1 = 0.4: no real p reaches ln t = 0.3 (W has no
+    # real value there), and the root past the minimum at 0.377 and 0.39
+    # lies below p = 2
+    import mpmath as mp
+    form = sc.ClosedForm(-1.0, 0.4)
+    M = sc.WeightSequence("w-edge", form(np.arange(65)), form)
+    assert sc.is_log_convex(M)
+    for log_t, p in ((0.3, 0), (0.377, 1), (0.39, 1)):
+        assert form.inverse_mu_mp(mp.mpf(log_t)) == p
+        assert wt.omega_mp(M, log_t) == 0
+    assert wt.omega_mp(M, 0.41) == pytest.approx(0.01, rel=1e-12)
 
 
 def test_omega_mp_mpmath_call_count(monkeypatch):
@@ -333,6 +393,10 @@ def test_omega_mp_mpmath_call_count(monkeypatch):
         monkeypatch.setattr(mp, name, counted)
     with mp.workdps(50):
         assert wt.omega_mp(sc.gevrey(0.1), 1e10) > 0
+    assert counts["exp"] < 20 and counts["log"] < 20
+    counts.update(exp=0, log=0)
+    with mp.workdps(50):
+        assert wt.omega_mp(sc.factorial_shift(sc.qgevrey(2), 1), 1e10) > 0
     assert counts["exp"] < 20 and counts["log"] < 20
 
 
@@ -353,12 +417,38 @@ def test_omega_mp_refuses_constant_quotients_at_once(monkeypatch):
     assert not calls
 
 
-@pytest.mark.parametrize("spec", ["gevrey:0.1", "gevrey:0.5", "qgevrey:2"])
+def test_omega_mp_refuses_falling_quotients_at_once(monkeypatch):
+    # ln mu_p = ln p - 1e-10 (2p - 1) rises over the window and falls past
+    # p = 5e9, so omega is infinite at every t > 0 (at ln t = 3 the term at
+    # p = 1e12 alone is 7.6e13); the bisection returned 17.66 there and
+    # spent 7 s refusing ln t = 1e300
+    import mpmath as mp
+    calls = []
+
+    def counted(*args, _fn=mp.exp, **kwargs):
+        calls.append(1)
+        return _fn(*args, **kwargs)
+    monkeypatch.setattr(mp, "exp", counted)
+    form = sc.ClosedForm(1.0, -1e-10)
+    assert form.inverse_mu_mp(mp.mpf(3)) is None
+    M = sc.WeightSequence("lc-on-window", form(np.arange(65)), form)
+    assert sc.is_log_convex(M)
+    for log_t in (-5.0, 3.0, 10.0, 1e300):
+        with pytest.raises(PreconditionError, match="fall"):
+            wt.omega_mp(M, log_t)
+    with pytest.raises(PreconditionError, match="fall"):
+        wt.omega_extended(M, 1e30)
+    assert wt.omega_mp(M, -math.inf) == 0
+    assert not calls
+
+
+@pytest.mark.parametrize("spec", ["gevrey:0.1", "gevrey:0.5", "qgevrey:2",
+                                  "shift:2:1"])
 def test_omega_mp_keeps_its_digits_at_15(spec):
     # q ln t - ln M_q cancels about log10(ln p*) digits (16 for gevrey(0.1)
     # at ln t = 1e15); the call raises its own precision to keep them
     import mpmath as mp
-    M = sc.make_family(spec)
+    M = _omega_mp_case(spec)
     for log_t in (50.0, 1e10, 1e15):
         with mp.workdps(15):
             low = wt.omega_mp(M, log_t)
