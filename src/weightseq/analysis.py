@@ -116,18 +116,28 @@ def _check_log_concave_m(M):
     return Verdict("holds", {"max_second_diff": float(d2.max())}, (1, M.P - 1))
 
 
-def _log_window_constant(logM: np.ndarray) -> float:
+def _log_window_constant(logM: np.ndarray, convex: bool = False) -> float:
     """ln C, the least C with M_{p+q} <= C^{p+q+1} M_p M_q on the window.
 
     low[s] is the smallest ln M_p + ln M_q over p + q = s, kept as a
     running minimum over the rows p <= s/2: O(P) memory, O(P^2) time.  The
     result equals max over all pairs of (ln M_s - ln M_p - ln M_q)/(s+1)
     bit for bit, because rounded subtraction and division are monotone.
+
+    ``convex`` asserts that the stored values are exactly convex
+    (WeightSequence._exactly_convex).  Then ln M_p + ln M_{s-p} is smallest
+    at the balanced split p = floor(s/2), and rounded addition is monotone,
+    so low[s] is read there in O(P) with the same bits.
     """
     P = logM.size - 1
-    low = logM[0] + logM
-    for p in range(1, P // 2 + 1):
-        np.minimum(low[2 * p:], logM[p] + logM[p : P - p + 1], out=low[2 * p:])
+    if convex:
+        low = np.empty(P + 1)  # s = 2k from (k, k), s = 2k + 1 from (k, k + 1)
+        low[0::2] = logM[: P // 2 + 1] + logM[: P // 2 + 1]
+        low[1::2] = logM[: (P + 1) // 2] + logM[1 : (P + 1) // 2 + 1]
+    else:
+        low = logM[0] + logM
+        for p in range(1, P // 2 + 1):
+            np.minimum(low[2 * p:], logM[p] + logM[p : P - p + 1], out=low[2 * p:])
     return float(np.max((logM - low) / np.arange(1.0, P + 2)))
 
 
@@ -157,7 +167,7 @@ def _check_mg(M):
     """
     logM = M.logM
     tol9, tol12 = structure_tol(M, 1e-9), structure_tol(M)
-    log_C = _log_window_constant(logM)
+    log_C = _log_window_constant(logM, M._exactly_convex)
     dia = np.arange(1, M.P // 2 + 1)
     d_p = (logM[2 * dia] - 2 * logM[dia]) / (2 * dia + 1.0)
     if is_log_convex(M):
@@ -341,19 +351,17 @@ def _check_om1(M):
     """omega_M(2t) = O(omega_M(t)): for log-convex M this is equivalent to
     the root-ratio condition, whose monotone statistic certifies from the
     window; the sampled ratio sup is reported alongside."""
-    from .weights import default_t_grid, omega
+    from .weights import _omega_grid, default_t_grid
     base = _check_momega1(M)
     ratio_sup = None
     try:
         grid = default_t_grid(M, t_min=2.0)
         grid = grid[grid < grid[-1] / 2.0]
-        vals = []
-        for t in grid:
-            w1, w2 = omega(M, float(t)), omega(M, float(2 * t))
-            if w1.trusted and w2.trusted and w1.value > 1e-9:
-                vals.append(w2.value / w1.value)
-        if vals:
-            ratio_sup = float(max(vals))
+        w1, _, ok1 = _omega_grid(M, grid)
+        w2, _, ok2 = _omega_grid(M, 2 * grid)
+        keep = ok1 & ok2 & (w1 > 1e-9)
+        if keep.any():
+            ratio_sup = float((w2[keep] / w1[keep]).max())
     except WeightSeqError:
         pass
     if is_log_convex(M) and base.status != "inconclusive":

@@ -205,6 +205,25 @@ class WeightSequence:
         return float(np.diff(self.logM, 2).min())
 
     @functools.cached_property
+    def _exactly_convex(self) -> bool:
+        """ln M_{p-1} + ln M_{p+1} >= 2 ln M_p in exact arithmetic on the
+        stored floats, p = 1..P-1.
+
+        With s = fl(a + c) rounding is monotone, so s > 2b proves a + c > 2b
+        and s < 2b refutes it; a tie s = 2b is settled by the sign of the
+        exact error a + c - s, which TwoSum recovers.  A sum or a 2b past
+        float range settles nothing and reads False.
+        """
+        a, b, c = self.logM[:-2], self.logM[1:-1], self.logM[2:]
+        with np.errstate(over="ignore", invalid="ignore"):
+            s, twice = a + c, 2.0 * b
+            if not (np.isfinite(s).all() and np.isfinite(twice).all()):
+                return False
+            bb = s - a
+            err = (a - (s - bb)) + (c - bb)
+        return bool(np.all((s > twice) | ((s == twice) & (err >= 0.0))))
+
+    @functools.cached_property
     def _max_logmu(self) -> float:
         """Largest windowed ln mu_p, p = 1..P."""
         return float(np.diff(self.logM).max())
@@ -216,7 +235,7 @@ class WeightSequence:
 
     def extended(self, P_new: int) -> "WeightSequence":
         """Re-materialise on a longer window; requires a generator."""
-        P_new = _integer(P_new, f"{self.name}: window length P_new", 0)
+        P_new = _window_length(P_new, f"{self.name}: window length P_new")
         if P_new <= self.P:
             return self
         if self.generator is None:
@@ -257,7 +276,7 @@ def gevrey(alpha: float, P: int = DEFAULT_P) -> WeightSequence:
     """Gevrey sequence of order alpha: M_p = (p!)^alpha, alpha >= 0."""
     if not (alpha >= 0) or not math.isfinite(alpha):
         raise InvalidSequenceError(f"gevrey order must be >= 0, got {alpha}")
-    P = _integer(P, "gevrey: window length P", 0)
+    P = _window_length(P, "gevrey: window length P")
     form = ClosedForm(float(alpha))  # mu_p = p^alpha
     return WeightSequence(f"gevrey({alpha:g})", form(np.arange(P + 1)), form,
                           provenance=f"builtin:gevrey({alpha:g})")
@@ -267,7 +286,7 @@ def qgevrey(q: float, P: int = DEFAULT_P) -> WeightSequence:
     """q-Gevrey sequence M_p = q^(p^2), q > 1."""
     if not (q > 1) or not math.isfinite(q):
         raise InvalidSequenceError(f"q-gevrey base must be > 1, got {q}")
-    P = _integer(P, "qgevrey: window length P", 0)
+    P = _window_length(P, "qgevrey: window length P")
     form = ClosedForm(0.0, math.log(q))  # mu_p = q^(2p-1)
     return WeightSequence(f"qgevrey({q:g})", form(np.arange(P + 1)), form,
                           provenance=f"builtin:qgevrey({q:g})")
@@ -305,6 +324,16 @@ def _integer(value, what: str, lo: int) -> int:
     if not (isinstance(value, numbers.Integral) and value >= lo):
         raise InvalidSequenceError(f"{what} must be an integer >= {lo}, got {value!r}")
     return int(value)
+
+
+def _window_length(value, what: str) -> int:
+    """_integer(value, what, 0) for a window length P whose P + 1 float
+    entries numpy can index; a longer one is refused before it allocates."""
+    P = _integer(value, what, 0)
+    if (P + 1) * 8 > np.iinfo(np.intp).max:
+        raise InvalidSequenceError(f"{what} = {P} is past the largest array "
+                                   "numpy can index")
+    return P
 
 
 def _float_array(values, what: str) -> np.ndarray:

@@ -169,7 +169,10 @@ def regularize_almost_decreasing(M: WeightSequence) -> RegularizationResult:
     H^{-1} mu_p <= lambda_p <= mu_p pointwise on the window; lambda_0 = 1.
     H is computed on the window and reported as a lower bound for the true
     asymptotic constant.  A window whose tail sup of mu_q/q is unresolved
-    is doubled, up to REGULARIZE_DOUBLINGS times, through its generator.
+    is doubled, up to REGULARIZE_DOUBLINGS times, through its generator,
+    unless that generator is a ClosedForm whose mu_q/q tends to infinity
+    (b > 0, or b = 0 < a - 1): no window resolves a sup that is infinite,
+    so that tail is refused at once.
     """
     work = M
     for attempt in range(REGULARIZE_DOUBLINGS + 1):
@@ -178,9 +181,14 @@ def regularize_almost_decreasing(M: WeightSequence) -> RegularizationResult:
         log_ratio = logmu[1:] - np.log(p)     # ln(mu_q / q)
         if _tail_sup_resolvable(log_ratio):
             break
-        if work.generator is None or attempt == REGULARIZE_DOUBLINGS:
+        refusal = (f"regularize: tail sup of mu_q/q unresolved within window "
+                   f"of {M.name}")
+        form = work.generator
+        if isinstance(form, ClosedForm) and (form.b > 0 or form.b == 0 < form.a - 1):
             raise InconclusiveTailError(
-                f"regularize: tail sup of mu_q/q unresolved within window of {M.name}")
+                f"{refusal}; mu_q/q of its closed form tends to infinity")
+        if form is None or attempt == REGULARIZE_DOUBLINGS:
+            raise InconclusiveTailError(refusal)
         work = work.extended(work.P * 2)
     # running sup from the right of ln(mu_q/q)
     log_sup = np.maximum.accumulate(log_ratio[::-1])[::-1]

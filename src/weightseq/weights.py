@@ -29,8 +29,8 @@ from scipy.special import gammaln
 from .errors import (CensoredWindowError, InvalidSequenceError,
                      PreconditionError, UntrustedEvaluationError)
 from .seqcore import (ClosedForm, LogPowerBound, WeightSequence,
-                      SequenceFamily, _integer, _number, is_log_convex,
-                      little_m, quotients)
+                      SequenceFamily, _integer, _number, _window_length,
+                      is_log_convex, little_m, quotients)
 
 LN2 = math.log(2.0)
 _EPS = float(np.finfo(float).eps)
@@ -184,7 +184,7 @@ def _sorted_omega(M: WeightSequence, logt: float) -> Optional[OmegaValue]:
     """
     logM, P = M.logM, M.P
     k = _sorted_count(logM, logt)
-    eta = 4.0 * _EPS * (P * abs(logt) + M._max_abs_logM)
+    eta = _omega_eta(M, logt)
     if k > 0 and not logt - (logM[k] - logM[k - 1]) > eta:
         return None
     if k < P and not (logM[k + 1] - logM[k]) - logt > eta:
@@ -193,6 +193,47 @@ def _sorted_omega(M: WeightSequence, logt: float) -> Optional[OmegaValue]:
     tol = 1e-12 * max(1.0, abs(best))
     trusted = bool(P * logt - logM[P] < best - tol)
     return OmegaValue(max(best, 0.0), k if best > 0.0 else 0, trusted)
+
+
+def _omega_eta(M: WeightSequence, logt):
+    """_sorted_omega's eta = 8uB, B = P |ln t| + max |ln M_p|, for a float
+    ln t or an array of them."""
+    return 4.0 * _EPS * (M.P * abs(logt) + M._max_abs_logM)
+
+
+def _omega_grid(M: WeightSequence, ts) -> tuple:
+    """(value, argmax, trusted) arrays equal to omega(M, t) for each t > 0
+    of ts.
+
+    On an exactly sorted window every t is read at k = Sigma_M(t) in one
+    vectorized pass under _sorted_omega's certificate, with ln t from
+    math.log as the scalar path takes it (numpy's log may differ in the
+    last bit).  Each t the certificate does not clear, and every t on any
+    other window, is answered by omega.
+    """
+    ts = np.asarray(ts, dtype=float)
+    value = np.empty(ts.size)
+    argmax = np.zeros(ts.size, dtype=int)
+    trusted = np.zeros(ts.size, dtype=bool)
+    todo = range(ts.size)
+    if M._min_logmu_step >= 0.0:
+        logM, P = M.logM, M.P
+        logt = np.array([math.log(t) for t in ts])
+        logmu = np.diff(logM)  # the subtraction _sorted_count probes
+        k = np.searchsorted(logmu, logt, side="right")
+        eta = _omega_eta(M, logt)
+        clear = (((k == 0) | (logt - logmu[np.maximum(k - 1, 0)] > eta))
+                 & ((k == P) | (logmu[np.minimum(k, P - 1)] - logt > eta)))
+        best = k * logt - logM[k]
+        tol = 1e-12 * np.maximum(1.0, np.abs(best))
+        value[:] = np.maximum(best, 0.0)
+        argmax[:] = np.where(best > 0.0, k, 0)
+        trusted[:] = P * logt - logM[P] < best - tol
+        todo = np.flatnonzero(~clear)
+    for i in todo:
+        res = omega(M, float(ts[i]))
+        value[i], argmax[i], trusted[i] = res.value, res.argmax, res.trusted
+    return value, argmax, trusted
 
 
 def _window_omega(logM: np.ndarray, t: float) -> OmegaValue:
@@ -414,7 +455,13 @@ def counting_scaling_residual(M: WeightSequence, k: int, beta: float,
     grid = np.asarray(list(t_grid), dtype=float)
     if grid.size == 0:
         raise InvalidSequenceError("counting scaling: empty t grid")
-    scale = float(k) ** beta
+    beta = _number(beta, "counting scaling: exponent beta")
+    _require_finite("counting_scaling_residual", beta, "beta")
+    try:
+        scale = float(k) ** beta
+    except OverflowError:
+        raise InvalidSequenceError(
+            f"counting scaling: k^beta = {k}^{beta:g} is past float range") from None
     excess = []
     excess_omega = []
     for t in grid:
@@ -448,6 +495,7 @@ def markin_bound(P: int = 512) -> WeightSequence:
     Dominates the little-m of every small Gevrey sequence; its roots
     a_j^(1/j) = 1/ln(j) decay to zero slower than any power.
     """
+    P = _window_length(P, "markin_bound: window length P")
     gen = LogPowerBound()
     return WeightSequence("markin-bound", gen(np.arange(P + 1)), gen,
                           provenance="builtin:markin-bound")

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -52,6 +53,13 @@ def _window_constant_matrix(logM):
     return float((stat / (s + 1.0)).max())
 
 
+def _exactly_convex(logM):
+    """ln M_{p-1} + ln M_{p+1} >= 2 ln M_p in rationals: the oracle of
+    WeightSequence._exactly_convex."""
+    f = [Fraction(float(x)) for x in logM]
+    return all(f[p - 1] + f[p + 1] >= 2 * f[p] for p in range(1, len(f) - 1))
+
+
 def _perturbed(alpha, P, seed):
     logM = sc.gevrey(alpha, P=P).logM.copy()
     logM[1:] += 0.02 * np.random.default_rng(seed).uniform(size=P)
@@ -73,6 +81,8 @@ def test_window_constant_matches_all_pairs(kind, P):
     # sequences need P >= 8: shorter windows are prefixes of a longer one
     logM = _MG_WINDOWS[kind](max(P, 16)).logM[: P + 1]
     assert an._log_window_constant(logM) == _window_constant_matrix(logM)
+    if _exactly_convex(logM):  # the balanced split, short windows included
+        assert an._log_window_constant(logM, True) == _window_constant_matrix(logM)
 
 
 @given(st.lists(st.floats(min_value=-1e300, max_value=1e300, allow_nan=False),
@@ -93,6 +103,56 @@ def test_mg_memory_linear_in_P():
         tracemalloc.stop()
     assert v.holds
     assert peak < 4 * 2**20  # one (P+1)^2 float array alone is 800 MB
+
+
+# windows built from non-decreasing quotient steps: integer steps (runs of
+# equal quotients, exact sums) and float steps, whose rounded sums may or
+# may not stay exactly convex
+_steps = st.one_of(st.integers(0, 3).map(float), st.floats(0.0, 2.0, allow_nan=False))
+convex_windows = st.builds(
+    lambda steps, scale, start: np.concatenate(
+        [[0.0], np.cumsum(start + scale * np.cumsum(steps))]),
+    st.one_of(st.lists(st.integers(0, 3).map(float), min_size=8, max_size=120),
+              st.lists(_steps, min_size=8, max_size=120)),
+    st.sampled_from([1.0, 0.5, 7.25, 1e-3, 1e6]),
+    st.sampled_from([0.0, -5.0, 1.0, -0.25]))
+
+
+@given(convex_windows, st.integers(1, 10**6))
+@settings(max_examples=200, deadline=None)
+def test_mg_balanced_split_matches_the_scan(logM, pick):
+    M = sc.custom(logM)
+    assert M._exactly_convex == _exactly_convex(M.logM)
+    if M._exactly_convex:
+        assert an._log_window_constant(M.logM, True) == an._log_window_constant(M.logM)
+    # one ulp up at an interior entry: at a tight entry (a + c = 2b) that
+    # breaks exact convexity, and the proof must see it
+    p = 1 + pick % (M.P - 1)
+    nudged = M.logM.copy()
+    nudged[p] = np.nextafter(nudged[p], math.inf)
+    N = sc.custom(nudged)
+    assert N._exactly_convex == _exactly_convex(nudged)
+    a, b, c = (Fraction(float(x)) for x in M.logM[p - 1 : p + 2])
+    if a + c == 2 * b:
+        assert not N._exactly_convex
+
+
+def test_mg_takes_the_scan_one_ulp_off_convex(monkeypatch):
+    seen = []
+    scan = an._log_window_constant
+    monkeypatch.setattr(an, "_log_window_constant",
+                        lambda logM, convex=False: seen.append(convex) or scan(logM, convex))
+    # integer quotients 0, 1, ..., 40, then equal from p = 41 on
+    steps = (np.arange(100) < 40).astype(float)
+    logM = np.concatenate([[0.0], np.cumsum(np.cumsum(steps))])
+    nudged = logM.copy()
+    nudged[70] = np.nextafter(nudged[70], math.inf)
+    for window, convex in ((logM, True), (nudged, False),
+                           (sc.gevrey(1.5, P=512).logM, True)):
+        v = an.check_property(sc.custom(window), "mg")
+        assert seen.pop() is convex
+        assert v.holds and v.witness["C"] == an._exp_reported(
+            _window_constant_matrix(np.asarray(window)))
 
 
 def test_quotient_ratio_bound_qgevrey():

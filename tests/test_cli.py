@@ -1,5 +1,7 @@
 import hashlib
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -154,6 +156,16 @@ def test_verify_all_report_pinned(tmp_path):
     out = tmp_path / "verify.json"
     run(["verify", "all", "--seed", "0", "--out", str(out)])
     assert hashlib.md5(out.read_bytes()).hexdigest() == VERIFY_SEED0_MD5
+
+
+def test_verify_pin_matches_the_benchmark_tripwire():
+    # read as text: the benchmark package is not importable from here
+    text = (Path(__file__).resolve().parents[1] / "perfbench" / "oracles.py").read_text()
+    pins = re.findall(r'^VERIFY_SEED0_MD5 = "([0-9a-f]{32})"$', text, re.M)
+    assert pins == [VERIFY_SEED0_MD5], (
+        "perfbench/oracles.py's VERIFY_SEED0_MD5 is the benchmark's seed-0 "
+        "tripwire: verify_all fails every run of seed 0 (collect.py runs seeds "
+        "0-9) when it differs from the bytes pinned here; move both together")
 
 
 def test_verify_unknown_suite():

@@ -338,6 +338,19 @@ def test_json_non_numeric_window_rejected(tmp_path, doc):
     lambda: tr.bidual(sc.gevrey(2), P_out=20.5),
     lambda: wt.counting_scaling_residual(sc.gevrey(2), 2.5, 1.0, [1.0, 2.0]),
     lambda: wt.counting_scaling_residual(sc.gevrey(2), 2, 1.0, []),
+    lambda: wt.counting_scaling_residual(sc.gevrey(0.5, P=256), 2, 1e300, [10.0]),
+    lambda: wt.counting_scaling_residual(sc.gevrey(0.5, P=256), 2, math.nan, [10.0]),
+    lambda: wt.counting_scaling_residual(sc.gevrey(0.5, P=256), 2, -math.inf, [10.0]),
+    lambda: wt.counting_scaling_residual(sc.gevrey(0.5, P=256), 2, "b", [10.0]),
+    lambda: wt.markin_bound(64.7),
+    lambda: wt.markin_bound(math.nan),
+    lambda: wt.markin_bound(1e300),
+    lambda: wt.markin_bound(2**70),
+    # windows numpy cannot index are refused before anything is allocated
+    lambda: sc.gevrey(0.5, P=256).extended(2**70),
+    lambda: sc.gevrey(0.5, P=256).extended(2**63 // 8),
+    lambda: tr.bidual(sc.gevrey(0.5, P=256), P_out=2**70),
+    lambda: sc.qgevrey(2, P=2**62),
     lambda: ex.cauchy_restriction_bound(
         ex.CoefficientFunction.reciprocal(sc.gevrey(1, P=32)),
         tr.conjugate(sc.gevrey(0.5, P=64)), A=2.0, k=2.0, x=0.3, n=2.5),
@@ -356,7 +369,11 @@ def test_json_non_numeric_window_rejected(tmp_path, doc):
         "qgevrey-P-fraction", "make-family-P-string", "make-family-P-fraction",
         "extended-nan", "extended-fraction", "dual-P-nan", "dual-P-fraction",
         "bidual-P-nan", "bidual-P-fraction", "scaling-k-fraction",
-        "scaling-empty-grid", "cauchy-n-fraction", "counterexample-n-fraction",
+        "scaling-empty-grid", "scaling-k-beta-overflow", "scaling-beta-nan",
+        "scaling-beta-minus-inf", "scaling-beta-string", "markin-P-fraction",
+        "markin-P-nan", "markin-P-huge-float", "markin-P-past-intp",
+        "extended-past-intp", "extended-at-intp-bytes", "bidual-P-past-intp",
+        "qgevrey-P-past-intp", "cauchy-n-fraction", "counterexample-n-fraction",
         "derivative-n-fraction", "member-P-fraction", "uniform-bound-P-fraction",
         "uniform-bound-K-fraction"])
 def test_invalid_arguments_rejected(call):

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -236,6 +237,39 @@ def test_regularize_doubles_the_window():
     far = sc.factorial_shift(tr.conjugate(sc.qgevrey(math.exp(1e-6), P=256)), 1)
     with pytest.raises(InconclusiveTailError):
         tr.regularize_almost_decreasing(far)
+
+
+@pytest.mark.parametrize("M", [sc.gevrey(1.7, P=1024), sc.qgevrey(2, P=1024)],
+                         ids=["gevrey1.7", "qgevrey2"])
+def test_regularize_refuses_an_infinite_tail_at_once(M, monkeypatch):
+    # mu_q/q of these closed forms tends to infinity, so no doubling of the
+    # window could resolve its sup
+    calls = []
+    extended = sc.WeightSequence.extended
+    monkeypatch.setattr(sc.WeightSequence, "extended",
+                        lambda self, P_new: calls.append(P_new) or extended(self, P_new))
+    with pytest.raises(InconclusiveTailError,
+                       match=r"^regularize: tail sup of mu_q/q unresolved within window "
+                             rf"of {re.escape(M.name)}; "):
+        tr.regularize_almost_decreasing(M)
+    assert calls == []
+
+
+_CF = sc.ClosedForm(0.9, 1e-4)
+
+
+@pytest.mark.parametrize("M, H, md5", [
+    (sc.gevrey(1, P=512), 1.0000000000015143, "47276405fad08c906ce1705c94707e95"),
+    (sc.gevrey(0.999999, P=512), 1.0, "02a8faded027ab6a1228f1b9964864ab"),
+    # mu_q/q -> infinity, but its window is resolved (decreasing) on 0..512
+    (sc.WeightSequence("cf", _CF(np.arange(513)), _CF), 1.0000283477398388,
+     "d7689c9e41a84e9c879fa8116fc54c6c"),
+], ids=["gevrey1", "gevrey0.999999", "closed-form-0.9-1e-4"])
+def test_regularize_resolved_windows_keep_their_output(M, H, md5):
+    # recorded before closed forms with infinite tails were refused at once
+    reg = tr.regularize_almost_decreasing(M)
+    assert reg.H == H and reg.L.P == 512
+    assert hashlib.md5(reg.L.logM.tobytes()).hexdigest() == md5
 
 
 def test_regularize_inconclusive_tail():

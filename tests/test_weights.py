@@ -190,6 +190,51 @@ def test_sorted_omega_and_counting_match_the_scans(logM, drawn):
             assert wt.counting(M, t) == np.count_nonzero(logmu <= logt)
 
 
+def _near_quotients(M):
+    """t at each windowed quotient and at its nextafter neighbours: ln t
+    within eta of a quotient, where the grid read hands t to omega."""
+    return [float(t) for q in np.diff(M.logM) if q < 700.0 for t in
+            (math.exp(q), np.nextafter(math.exp(q), 0.0),
+             np.nextafter(math.exp(q), math.inf)) if t > 0.0]
+
+
+def _assert_grid_is_omega(M, ts):
+    value, argmax, trusted = wt._omega_grid(M, ts)
+    for i, t in enumerate(ts):
+        w = wt.omega(M, float(t))
+        assert (value[i], argmax[i], trusted[i]) == (w.value, w.argmax, w.trusted)
+
+
+@given(st.one_of(sorted_windows, st.lists(st.floats(-50.0, 50.0), min_size=9, max_size=64)),
+       st.lists(st.floats(-30.0, 30.0), max_size=20))
+@settings(max_examples=100, deadline=None)
+def test_omega_grid_matches_omega(logM, drawn):
+    M = sc.custom(logM)
+    _assert_grid_is_omega(M, np.array(_near_quotients(M) + [math.exp(v) for v in drawn]))
+
+
+@pytest.mark.parametrize("M", [sc.gevrey(1.5, P=2048), sc.gevrey(0.5, P=2048),
+                               sc.qgevrey(2, P=2048),
+                               sc.custom(sc.gevrey(1.5, P=2048).logM
+                                         + 0.02 * np.random.default_rng(5).uniform(size=2049))],
+                         ids=["gevrey1.5", "gevrey0.5", "qgevrey2", "unsorted"])
+def test_omega_grid_hands_only_uncleared_points_to_omega(M, monkeypatch):
+    # om1's grid and its doubles, then points within eta of a quotient
+    grid = wt.default_t_grid(M, t_min=2.0)
+    near = np.array(_near_quotients(M)[:300])
+    _assert_grid_is_omega(M, np.concatenate([grid, 2 * grid, near]))
+    calls = []
+    omega = wt.omega
+    monkeypatch.setattr(wt, "omega", lambda M, t: calls.append(t) or omega(M, t))
+    wt._omega_grid(M, np.concatenate([grid, 2 * grid]))
+    sorted_window = M._min_logmu_step >= 0.0
+    assert len(calls) < 2 * grid.size / 10 if sorted_window else len(calls) == 2 * grid.size
+    calls.clear()
+    wt._omega_grid(M, near)
+    if sorted_window:
+        assert len(calls) >= near.size // 3  # exp(ln mu_p) reads back within eta
+
+
 def test_window_queries_cache_no_array():
     # the cached window views are scalars: a kept quotient array would live
     # as long as the sequence
