@@ -21,12 +21,12 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import gammaln
 
 from .analysis import _exp_reported
 from .errors import (CensoredWindowError, InvalidSequenceError,
                      UntrustedEvaluationError)
-from .seqcore import WeightSequence, _integer, log_factorial, quotients
+from .seqcore import (WeightSequence, _integer, log_factorial, log_factorials,
+                      quotients)
 from .weights import _require_finite, _window_omega, omega
 
 NEG_INF = -np.inf
@@ -88,7 +88,8 @@ class CoefficientFunction:
         if n > self.K:
             return NEG_INF
         j = np.arange(n, self.K + 1, dtype=float)
-        logterm = (self.logc[n:] + gammaln(j + 1.0) - gammaln(j - n + 1.0))
+        lnfact = log_factorials(self.K)  # ln j!/(j-n)! = lnfact[j] - lnfact[j-n]
+        logterm = self.logc[n:] + lnfact[n:] - lnfact[: self.K - n + 1]
         if x == 0.0:
             return float(logterm[0])
         logterm = logterm + (j - n) * math.log(abs(x))
@@ -143,7 +144,7 @@ def taylor_majorant(M: WeightSequence, h: float, A: float,
         raise InvalidSequenceError("need h > 0, finite A > 0, z_abs >= 0")
     t = 2.0 * h * z_abs
     _require_finite("taylor_majorant", t, "2 h |z|")
-    logMstar = log_factorial(np.arange(M.P + 1)) - M.logM  # as conjugate(M)
+    logMstar = log_factorials(M.P) - M.logM  # as conjugate(M)
     w = _window_omega(logMstar, t)
     if not w.trusted:
         raise UntrustedEvaluationError(
@@ -153,7 +154,10 @@ def taylor_majorant(M: WeightSequence, h: float, A: float,
     if z_abs == 0.0:
         log_lhs = math.log(A)
     else:
-        terms = k * math.log(h * z_abs) - logMstar  # (h z)^k M_k / k!
+        hz = h * z_abs
+        # a product that underflows to 0 still has a log: the sum of the two
+        log_hz = math.log(hz) if hz > 0.0 else math.log(h) + math.log(z_abs)
+        terms = k * log_hz - logMstar  # (h z)^k M_k / k!
         peak = int(np.argmax(terms))
         if peak >= M.P:
             raise UntrustedEvaluationError(
@@ -198,13 +202,19 @@ def cauchy_restriction_bound(F: CoefficientFunction, Mstar: WeightSequence,
         raise CensoredWindowError(f"n={n} outside conjugate window", required_P=n + 1)
     logmu_star = quotients(Mstar)
     R = max(abs(x), 1.0)
-    mu_n = math.exp(logmu_star[n]) if n >= 1 else 1.0
+    try:
+        mu_n = math.exp(logmu_star[n]) if n >= 1 else 1.0
+    except OverflowError:
+        mu_n = math.inf
     r = mu_n / (2.0 * k)
-    n_exc = np.flatnonzero(np.exp(logmu_star[1:]) / (2.0 * k) < 2.0 * R)
+    # a ratio past float range reads inf: that order is no exception
+    with np.errstate(over="ignore"):
+        n_exc = np.flatnonzero(np.exp(logmu_star[1:]) / (2.0 * k) < 2.0 * R)
     n0 = int(n_exc.size)
     route = "main" if (n >= 1 and r >= 2.0 * R) else "finite-exception"
     if route == "finite-exception":
         r = 2.0 * R
+    _require_finite("cauchy_restriction_bound", r, f"Cauchy radius mu*_{n} / (2k)")
     # growth certificate on the circle |z| = |x| + r (radial majorant)
     circle = abs(x) + r
     maj = F.log_radial_majorant(circle)
@@ -218,14 +228,14 @@ def cauchy_restriction_bound(F: CoefficientFunction, Mstar: WeightSequence,
             "growth certificate fails on the sampled circle: "
             f"ln majorant {maj:.6g} > ln A + omega {math.log(A)+w_circle.value:.6g}")
     log_deriv = F.derivative_log_abs(n, x)
-    logM_n = gammaln(n + 1.0) - float(Mstar.logM[n])
+    logM_n = log_factorial(n) - float(Mstar.logM[n])
     log_bound = math.log(A) + n * math.log(2.0 * k) + logM_n
     log_C = 0.0
     if route == "finite-exception":
         w_R = omega(Mstar, 2.0 * k * R)
         if not w_R.trusted:
             raise UntrustedEvaluationError("omega untrusted at exception radius")
-        log_C = gammaln(n0 + 1.0) + w_R.value
+        log_C = log_factorial(n0) + w_R.value
         log_bound += log_C
     return RestrictionBound(log_deriv=float(log_deriv), log_bound=float(log_bound),
                             route=route, n0=n0, log_C=float(log_C))

@@ -22,6 +22,7 @@ import functools
 import json
 import math
 import numbers
+import threading
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -42,6 +43,36 @@ STRUCTURE_TOL = 1e-12
 def log_factorial(p):
     """ln p! via log-gamma; accepts scalars or arrays, works far beyond the window."""
     return gammaln(np.asarray(p, dtype=float) + 1.0)
+
+
+# ln 0!..ln n! for the longest window a factorial transform has asked for;
+# replaced by a longer array, never shrunk and never written in place
+_LOG_FACTORIALS = np.empty(0)
+_LOG_FACTORIALS.flags.writeable = False
+_LOG_FACTORIALS_GROW = threading.Lock()
+
+
+def log_factorials(P) -> np.ndarray:
+    """Read-only view of ln 0!..ln P!, bit for bit log_factorial(np.arange(P + 1)).
+
+    One table is shared by the whole process: the values depend on k alone,
+    and the window transforms read them at every call.  A longer P computes
+    only the missing tail (gammaln works entry by entry, so the bits do not
+    depend on how the table grew) and swaps in the longer array; views
+    handed out earlier keep the old one alive.
+    """
+    global _LOG_FACTORIALS
+    P = _window_length(P, "log_factorials: window length P")
+    if P >= _LOG_FACTORIALS.size:
+        with _LOG_FACTORIALS_GROW:
+            old = _LOG_FACTORIALS
+            if P >= old.size:
+                table = np.empty(P + 1)
+                table[: old.size] = old
+                table[old.size:] = log_factorial(np.arange(old.size, P + 1))
+                table.flags.writeable = False
+                _LOG_FACTORIALS = table
+    return _LOG_FACTORIALS[: P + 1]
 
 
 @dataclass(frozen=True)
@@ -404,7 +435,7 @@ def from_quotients(logmu, name: str = "from-quotients",
 
 def little_m(M: WeightSequence) -> WeightSequence:
     """Divide out the factorial: logm[p] = logM[p] - ln p!."""
-    logm = M.logM - log_factorial(np.arange(M.P + 1))
+    logm = M.logM - log_factorials(M.P)
     form = M.generator.little_m() if isinstance(M.generator, ClosedForm) else None
     return WeightSequence(f"m[{M.name}]", logm, form,
                           provenance=f"transform:little_m({M.provenance})")
@@ -415,7 +446,7 @@ def factorial_shift(M: WeightSequence, s: float) -> WeightSequence:
     s = _number(s, "factorial shift")
     if not math.isfinite(s):
         raise InvalidSequenceError(f"factorial shift must be finite, got {s}")
-    logM = M.logM + s * log_factorial(np.arange(M.P + 1))
+    logM = M.logM + s * log_factorials(M.P)
     form = M.generator.shift(s) if isinstance(M.generator, ClosedForm) else None
     return WeightSequence(f"shift[{M.name},{s:g}]", logM, form,
                           provenance=f"transform:factorial_shift({M.provenance},{s:g})")

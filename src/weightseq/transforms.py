@@ -24,7 +24,7 @@ import numpy as np
 from .errors import (CensoredWindowError, InconclusiveTailError,
                      PreconditionError)
 from .seqcore import (ClosedForm, WeightSequence, _integer, from_quotients,
-                      in_lc_window, is_log_convex, log_factorial, quotients)
+                      in_lc_window, is_log_convex, log_factorials, quotients)
 
 # default ceiling for materialised dual windows (entries, not values)
 DUAL_WINDOW_CAP = 200_000
@@ -34,7 +34,7 @@ REGULARIZE_DOUBLINGS = 8
 
 def conjugate(M: WeightSequence) -> WeightSequence:
     """Conjugate sequence M*_p = p!/M_p (log domain: ln p! - logM[p])."""
-    logMstar = log_factorial(np.arange(M.P + 1)) - M.logM
+    logMstar = log_factorials(M.P) - M.logM
     form = M.generator.conjugate() if isinstance(M.generator, ClosedForm) else None
     return WeightSequence(f"conj[{M.name}]", logMstar, form,
                           provenance=f"transform:conjugate({M.provenance})")

@@ -142,6 +142,16 @@ def test_taylor_majorant_refuses_untrusted():
     assert err.value.required_P
 
 
+@pytest.mark.parametrize("h, z", [(0.5, 5e-324), (1e-200, 1e-200)],
+                         ids=["z-subnormal", "hz-underflow"])
+def test_taylor_majorant_product_underflowing_to_zero(h, z):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pair = ex.taylor_majorant(sc.gevrey(0.5, P=256), h, 1.0, z)
+    # every term past k = 0 is below e^-700: lhs = A, rhs = 2A e^omega(~0)
+    assert (pair.log_lhs, pair.log_rhs) == (0.0, math.log(2.0))
+
+
 # ---------------------------------------------------------------------------
 # restriction bound
 # ---------------------------------------------------------------------------
@@ -175,6 +185,27 @@ def test_cauchy_restriction_n0_and_certificate():
     assert rb.n0 == int(np.sum(mus / 4.0 < 2.0))
     with pytest.raises(InvalidSequenceError):
         ex.cauchy_restriction_bound(F, Mstar, A=1e-9, k=2.0, x=0.0, n=5)
+
+
+def test_cauchy_restriction_past_float_range():
+    Q = sc.qgevrey(2, P=2048)  # mu*_p = 2^(2p-1) passes float range at p = 513
+    FQ = ex.CoefficientFunction.reciprocal(Q)
+    C = tr.conjugate(sc.gevrey(0.5, P=2048))
+    one = ex.CoefficientFunction(np.concatenate([[0.0], np.full(11, -np.inf)]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rb = ex.cauchy_restriction_bound(FQ, Q, A=2.0, k=2.0, x=0.0, n=5)
+        assert rb.route == "main" and math.isfinite(rb.log_bound)
+        assert rb.log_deriv <= rb.log_bound + math.log(1 + 1e-6)
+        # every mu*_p / (2k) overflows: no exceptional order, a radius at n = 0
+        tiny = ex.cauchy_restriction_bound(one, C, A=2.0, k=5e-324, x=0.0, n=0)
+        assert tiny.route == "finite-exception" and tiny.n0 == 0
+        assert tiny.log_deriv == 0.0 <= tiny.log_bound
+        # the Cauchy radius itself is past float range
+        with pytest.raises(InvalidSequenceError, match="radius"):
+            ex.cauchy_restriction_bound(FQ, Q, A=2.0, k=2.0, x=0.0, n=1500)
+        with pytest.raises(InvalidSequenceError, match="radius"):
+            ex.cauchy_restriction_bound(one, C, A=2.0, k=5e-324, x=0.0, n=5)
 
 
 def test_cauchy_restriction_spec_triples():

@@ -1,5 +1,7 @@
 import json
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from weightseq import operator_lab as ol
 from weightseq import seqcore as sc
 from weightseq import transforms as tr
 from weightseq import weights as wt
-from weightseq.errors import InvalidSequenceError
+from weightseq.errors import InvalidSequenceError, WeightSeqError
 
 finite_logs = st.lists(
     st.floats(min_value=-50.0, max_value=50.0, allow_nan=False,
@@ -161,6 +163,119 @@ def test_little_m():
     assert m.logM[4] == pytest.approx(-0.5 * math.log(24), abs=1e-12)
     twice = sc.little_m(sc.little_m(sc.gevrey(2)))
     assert np.allclose(twice.logM, sc.gevrey(0).logM, atol=1e-11)
+
+
+# ---------------------------------------------------------------------------
+# the shared ln k! table
+# ---------------------------------------------------------------------------
+
+def _empty_log_factorials(monkeypatch):
+    """Start the process-wide table over for one test; restored after it."""
+    table = np.empty(0)
+    table.flags.writeable = False
+    monkeypatch.setattr(sc, "_LOG_FACTORIALS", table)
+
+
+def test_log_factorials_match_gammaln_bit_for_bit(monkeypatch):
+    _empty_log_factorials(monkeypatch)
+    # grow, serve a prefix, grow past it, serve a prefix again
+    for P in (2048, 512, 10**5, 3000):
+        T = sc.log_factorials(P)
+        assert T.shape == (P + 1,)
+        assert np.array_equal(T, gammaln(np.arange(P + 1) + 1.0))
+    assert sc._LOG_FACTORIALS.size == 10**5 + 1  # grown to the longest, never shrunk
+
+
+def test_log_factorials_grow_under_concurrent_requests(monkeypatch):
+    sizes = list(range(1000, 31_000, 250))  # nearly every request grows the table
+    reference = gammaln(np.arange(max(sizes) + 1) + 1.0)
+    wrong = []
+
+    def request(chunk):
+        for P in chunk:
+            if not np.array_equal(sc.log_factorials(P), reference[: P + 1]):
+                wrong.append(P)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):  # a lost update shows in some rounds, not in each
+            _empty_log_factorials(monkeypatch)
+            threads = [threading.Thread(target=request, args=(sizes[i::6],))
+                       for i in range(6)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+            assert not any(th.is_alive() for th in threads)
+            # a shorter request that lost the race never swapped in a shorter table
+            assert sc._LOG_FACTORIALS.size == max(sizes) + 1
+    finally:
+        sys.setswitchinterval(interval)
+    assert wrong == []
+
+
+def test_log_factorials_are_read_only():
+    T = sc.log_factorials(64)
+    with pytest.raises(ValueError):
+        T[3] = 0.0
+    with pytest.raises(ValueError):
+        T.flags.writeable = True
+    assert T[3] == gammaln(4.0)
+
+
+@pytest.mark.parametrize("P", [2**62, -1, 2.5, "64"])
+def test_log_factorials_refuse_what_numpy_cannot_index(P):
+    with pytest.raises(InvalidSequenceError, match="log_factorials"):
+        sc.log_factorials(P)
+
+
+FACTORIAL_WINDOWS = {
+    "gevrey(0.3)": lambda P: sc.gevrey(0.3, P=P),
+    "qgevrey(2)": lambda P: sc.qgevrey(2, P=P),
+    "custom": lambda P: sc.custom(np.cumsum(np.linspace(-1.0, 3.0, P + 1))),
+}
+
+
+def _factorial_window_outputs(M):
+    """Every reader of the table on M, as bytes and reprs."""
+    F = ex.CoefficientFunction.reciprocal(M)
+    out = [tr.conjugate(M).logM.tobytes(), sc.little_m(M).logM.tobytes(),
+           sc.factorial_shift(M, 0.37).logM.tobytes()]
+    out += [F.derivative_log_abs(n, x)
+            for n in (0, 3, M.P // 2, M.P) for x in (0.0, 0.6, -1.4)]
+    for h, A, z in ((0.5, 1.0, 0.2), (1.3, 2.0, 3.0), (2.0, 1.0, 40.0)):
+        try:
+            out.append(ex.taylor_majorant(M, h, A, z))
+        except WeightSeqError as exc:
+            out.append(repr(exc))
+    return out
+
+
+@pytest.mark.parametrize("P", [64, 512, 2048])
+@pytest.mark.parametrize("family", sorted(FACTORIAL_WINDOWS))
+def test_factorial_windows_equal_the_per_call_formula(monkeypatch, family, P):
+    M = FACTORIAL_WINDOWS[family](P)
+    got = _factorial_window_outputs(M)
+    for mod in (sc, tr, ex):
+        monkeypatch.setattr(mod, "log_factorials",
+                            lambda PP: sc.log_factorial(np.arange(PP + 1)))
+    assert got == _factorial_window_outputs(M)
+
+
+def test_taylor_majorant_reuses_the_table(monkeypatch):
+    M = sc.gevrey(0.4, P=4096)
+    _empty_log_factorials(monkeypatch)
+    computed = []
+
+    def counted(x):
+        computed.append(np.size(x))
+        return gammaln(x)
+    monkeypatch.setattr(sc, "gammaln", counted)
+    first = ex.taylor_majorant(M, 1.0, 1.0, 3.0)
+    assert sum(computed) == M.P + 1
+    computed.clear()
+    assert ex.taylor_majorant(M, 1.0, 1.0, 3.0) == first
+    assert sum(computed) == 0
 
 
 def test_root_sequence():
