@@ -64,8 +64,9 @@ class IndexEstimate:
 # trend helpers
 # ---------------------------------------------------------------------------
 
-def _tail(x: np.ndarray, frac: int = 4) -> np.ndarray:
-    return x[-max(2, len(x) // frac):]
+def _tail(x: np.ndarray) -> np.ndarray:
+    """The last quarter of x, at least two entries."""
+    return x[-max(2, len(x) // 4):]
 
 
 def _nonincreasing(x: np.ndarray, tol: float = 1e-12) -> bool:
@@ -76,12 +77,12 @@ def _nondecreasing(x: np.ndarray, tol: float = 1e-12) -> bool:
     return bool(np.all(np.diff(x) >= -tol))
 
 
-def _block_minima_nondecreasing(x: np.ndarray, n_blocks: int = 6,
-                                tol: float = 1e-9) -> bool:
+def _block_minima_nondecreasing(x: np.ndarray) -> bool:
     """Envelope trend for noisy statistics (integer-valued quotients carry
-    floor jitter): minima over consecutive blocks must not decrease."""
-    mins = [float(b.min()) for b in np.array_split(x, n_blocks) if b.size]
-    return all(b >= a - tol for a, b in zip(mins, mins[1:]))
+    floor jitter): minima over 6 consecutive blocks must not decrease by
+    more than 1e-9."""
+    mins = [float(b.min()) for b in np.array_split(x, 6) if b.size]
+    return all(b >= a - 1e-9 for a, b in zip(mins, mins[1:]))
 
 
 # ---------------------------------------------------------------------------

@@ -196,8 +196,8 @@ def cauchy_restriction_bound(F: CoefficientFunction, Mstar: WeightSequence,
     M_n = n!/M*_n.
     """
     n = _integer(n, "cauchy restriction: derivative order n", 0)
-    if A <= 0 or k <= 0:
-        raise InvalidSequenceError("need A > 0, k > 0")
+    if not (0 < A < math.inf and 0 < k < math.inf):
+        raise InvalidSequenceError(f"need finite A > 0, k > 0, got A={A}, k={k}")
     if n + 1 > Mstar.P:
         raise CensoredWindowError(f"n={n} outside conjugate window", required_P=n + 1)
     logmu_star = quotients(Mstar)

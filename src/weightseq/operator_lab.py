@@ -84,7 +84,12 @@ class SpectralVector:
         return len(self.logc)
 
     def scaled(self, factor: float) -> "SpectralVector":
+        """The vector times a factor >= 0; a negative, NaN or infinite factor
+        (its ln is complex, NaN or inf) is refused."""
         lf = mp.log(mp.mpf(factor))
+        if not (isinstance(lf, mp.mpf) and lf < mp.inf):
+            raise InvalidSequenceError(
+                f"scaled: factor must be finite and >= 0, got {factor!r}")
         return SpectralVector(tuple(c + lf for c in self.logc))
 
     def l2_report(self) -> dict:
@@ -113,6 +118,8 @@ def _lse(logs) -> mp.mpf:
 def from_floats(lambdas, coeff_logs) -> tuple:
     """Desk-scale model from plain eigenvalues and ln|c_n| (-inf: c_n = 0)."""
     lam = np.asarray(lambdas, dtype=float)
+    if lam.size == 0:
+        raise InvalidSequenceError("from_floats: no eigenvalues")
     if not (np.all(np.isfinite(lam) & (lam > 0)) and np.all(np.diff(lam) > 0)):
         raise InvalidSequenceError("eigenvalues must be finite, positive and increasing")
     logc = np.asarray(coeff_logs, dtype=float)
@@ -158,7 +165,12 @@ def build_counterexample(gauge: GrowthGauge, n_terms: int = 120,
         target = max(math.log(n), log_g_floor + log_g_slope * n)
         lo = max(prev + 1e-9, math.log(n), 1.0)
         # ln g ~ sqrt(ln k)/2 asymptotically, so ln k ~ 4 exp(2 ln g)
-        hi = max(lo + 4.0, 8.0, 5.0 * math.exp(2.0 * target))
+        try:
+            hi = max(lo + 4.0, 8.0, 5.0 * math.exp(2.0 * target))
+        except OverflowError:
+            raise PreconditionError(
+                f"gauge threshold ln g = {target:.3g} puts ln k(n) past float "
+                f"range (needed for n = {n})") from None
         bracket = _bracket_bisect(lambda u: gauge.log_g(u) < target, lo, hi,
                                   COUNTEREXAMPLE_SEARCH_CAP, 64)
         if bracket is None:
@@ -308,6 +320,8 @@ def membership_verdict(model: DiagonalOperatorModel, f: SpectralVector,
     per_t = {}
     for t in t_grid:
         per_t[float(t)] = weighted_class_sum(model, f, M, float(t)).certificate
+    if not per_t:
+        raise InvalidSequenceError("membership_verdict: empty t grid")
     certs = list(per_t.values())
     if mode == "roumieu":
         if any(c == "converged" for c in certs):

@@ -97,7 +97,7 @@ class ClosedForm:
     def __call__(self, p):
         """ln M_p in float for a scalar or an array of indices."""
         p = np.asarray(p, dtype=float)
-        out = self.a * gammaln(p + 1.0) if self.a else np.zeros_like(p)
+        out = self.a * log_factorial(p) if self.a else np.zeros_like(p)
         return out + self.b * (p * p) if self.b else out
 
     def log_M_mp(self, p):
@@ -105,12 +105,6 @@ class ClosedForm:
         import mpmath as mp
         out = mp.mpf(self.a) * mp.loggamma(p + 1) if self.a else mp.mpf(0)
         return out + mp.mpf(self.b) * p * p if self.b else out
-
-    def log_mu(self, p):
-        """ln mu_p in float (p >= 1)."""
-        p = np.asarray(p, dtype=float)
-        out = self.a * np.log(p) if self.a else np.zeros_like(p)
-        return out + self.b * (2.0 * p - 1.0) if self.b else out
 
     def log_mu_mp(self, p):
         """ln mu_p in mpmath (p >= 1)."""
@@ -142,15 +136,6 @@ class ClosedForm:
         if z < -1 / mp.e:
             return mp.mpf(0)
         return mp.floor(a / (2 * b) * mp.lambertw(z, 0 if a > 0 else -1).real)
-
-    def conjugate(self) -> "ClosedForm":
-        return ClosedForm(1.0 - self.a, -self.b)
-
-    def little_m(self) -> "ClosedForm":
-        return ClosedForm(self.a - 1.0, self.b)
-
-    def shift(self, s: float) -> "ClosedForm":
-        return ClosedForm(self.a + s, self.b)
 
 
 @dataclass(frozen=True)
@@ -433,12 +418,22 @@ def from_quotients(logmu, name: str = "from-quotients",
     return WeightSequence(name, logM, provenance="from-quotients")
 
 
+def _factorial_image(M: WeightSequence, s: float, sign: float, name: str,
+                     provenance: str) -> WeightSequence:
+    """s ln p! + sign ln M_p (sign = +-1), a ClosedForm (a, b) mapped to
+    (s + sign a, sign b) and any other generator dropped.  Multiplying by
+    +-1.0 is exact and x - y is x + (-y): each caller keeps its bits."""
+    logM = s * log_factorials(M.P) + sign * M.logM
+    form = M.generator
+    form = (ClosedForm(s + sign * form.a, sign * form.b)
+            if isinstance(form, ClosedForm) else None)
+    return WeightSequence(name, logM, form, provenance=provenance)
+
+
 def little_m(M: WeightSequence) -> WeightSequence:
     """Divide out the factorial: logm[p] = logM[p] - ln p!."""
-    logm = M.logM - log_factorials(M.P)
-    form = M.generator.little_m() if isinstance(M.generator, ClosedForm) else None
-    return WeightSequence(f"m[{M.name}]", logm, form,
-                          provenance=f"transform:little_m({M.provenance})")
+    return _factorial_image(M, -1.0, 1.0, f"m[{M.name}]",
+                            f"transform:little_m({M.provenance})")
 
 
 def factorial_shift(M: WeightSequence, s: float) -> WeightSequence:
@@ -446,10 +441,8 @@ def factorial_shift(M: WeightSequence, s: float) -> WeightSequence:
     s = _number(s, "factorial shift")
     if not math.isfinite(s):
         raise InvalidSequenceError(f"factorial shift must be finite, got {s}")
-    logM = M.logM + s * log_factorials(M.P)
-    form = M.generator.shift(s) if isinstance(M.generator, ClosedForm) else None
-    return WeightSequence(f"shift[{M.name},{s:g}]", logM, form,
-                          provenance=f"transform:factorial_shift({M.provenance},{s:g})")
+    return _factorial_image(M, s, 1.0, f"shift[{M.name},{s:g}]",
+                            f"transform:factorial_shift({M.provenance},{s:g})")
 
 
 def root_sequence(M: WeightSequence) -> WeightSequence:

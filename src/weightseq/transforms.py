@@ -23,21 +23,21 @@ import numpy as np
 
 from .errors import (CensoredWindowError, InconclusiveTailError,
                      PreconditionError)
-from .seqcore import (ClosedForm, WeightSequence, _integer, from_quotients,
-                      in_lc_window, is_log_convex, log_factorials, quotients)
+from .seqcore import (ClosedForm, WeightSequence, _factorial_image, _integer,
+                      from_quotients, in_lc_window, is_log_convex, quotients)
 
 # default ceiling for materialised dual windows (entries, not values)
 DUAL_WINDOW_CAP = 200_000
 # window doublings regularize_almost_decreasing tries before it gives up
 REGULARIZE_DOUBLINGS = 8
+# entries _counted_logs snaps at a time
+_BLOCK = 1 << 16
 
 
 def conjugate(M: WeightSequence) -> WeightSequence:
     """Conjugate sequence M*_p = p!/M_p (log domain: ln p! - logM[p])."""
-    logMstar = log_factorials(M.P) - M.logM
-    form = M.generator.conjugate() if isinstance(M.generator, ClosedForm) else None
-    return WeightSequence(f"conj[{M.name}]", logMstar, form,
-                          provenance=f"transform:conjugate({M.provenance})")
+    return _factorial_image(M, 1.0, -1.0, f"conj[{M.name}]",
+                            f"transform:conjugate({M.provenance})")
 
 
 # ---------------------------------------------------------------------------
@@ -55,18 +55,29 @@ def _counted_logs(values: np.ndarray, P_out: int) -> np.ndarray:
     within relative 1e-9 of an integer are snapped before counting.
     """
     # an infinite value exceeds every count: its inf - inf is NaN, which
-    # fails the snap test and keeps the inf
+    # fails the snap test and keeps the inf.  Snapped in blocks, and kappa
+    # formed in place: bidual's two counts run over 4e6 entries, where each
+    # full-length temporary is 32 MB.
+    snapped = np.empty_like(values)
     with np.errstate(over="ignore", invalid="ignore"):
-        nearest = np.rint(values)
-        snapped = np.where(
-            np.abs(values - nearest) <= 1e-9 * np.maximum(1.0, np.abs(nearest)),
-            nearest, values)
+        for i in range(0, values.size, _BLOCK):
+            v = values[i : i + _BLOCK]
+            nearest = np.rint(v)
+            snapped[i : i + _BLOCK] = np.where(
+                np.abs(v - nearest) <= 1e-9 * np.maximum(1.0, np.abs(nearest)),
+                nearest, v)
     ps = np.arange(1, P_out, dtype=float)  # p = 1..P_out-1 feeds kappa_{p+1}
-    counts = np.searchsorted(snapped, ps, side="right").astype(float)
-    logkappa = np.zeros(P_out + 1)
     active = ps >= values[0]
-    logkappa[2:][active] = np.log(np.maximum(counts[active], 1.0))
-    return np.concatenate([[0.0], np.cumsum(logkappa[1:])])
+    counts = np.searchsorted(snapped, ps, side="right")[active]
+    del ps, snapped
+    np.maximum(counts, 1, out=counts)
+    counts = counts.astype(float)
+    np.log(counts, out=counts)
+    logK = np.zeros(P_out + 1)
+    logK[2:][active] = counts
+    del counts
+    np.cumsum(logK[1:], out=logK[1:])
+    return logK
 
 
 def _counting_range(N: WeightSequence) -> int:
@@ -150,14 +161,14 @@ class RegularizationResult:
     H: float                # window value; lower bound for the true constant
 
 
-def _tail_sup_resolvable(ratio: np.ndarray, n_blocks: int = 8) -> bool:
+def _tail_sup_resolvable(ratio: np.ndarray) -> bool:
     """Certify that sup_{q>=p} mu_q/q is determined by the window.
 
     True when the running envelope over the last half of the window decays:
-    block maxima over dyadic-ish blocks must be non-increasing.
+    the maxima over 8 consecutive blocks must be non-increasing.
     """
     tail = ratio[len(ratio) // 2:]
-    blocks = np.array_split(tail, n_blocks)
+    blocks = np.array_split(tail, 8)
     maxima = [b.max() for b in blocks if b.size]
     return all(maxima[i] >= maxima[i + 1] - 1e-12 for i in range(len(maxima) - 1))
 

@@ -24,13 +24,12 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import (CensoredWindowError, InvalidSequenceError,
                      PreconditionError, UntrustedEvaluationError)
 from .seqcore import (ClosedForm, LogPowerBound, WeightSequence,
                       SequenceFamily, _integer, _number, _window_length,
-                      is_log_convex, little_m, quotients)
+                      is_log_convex, little_m, log_factorial, quotients)
 
 LN2 = math.log(2.0)
 _EPS = float(np.finfo(float).eps)
@@ -276,20 +275,21 @@ def omega_extended(M: WeightSequence, t: float) -> OmegaValue:
 
 
 def _step_term(form: ClosedForm, logt, p_star):
-    """(max(0, q ln t - ln M_q), q) over q = p_star - 1, p_star, p_star + 1
-    with mu_q <= t, (0, 0) when no such term is positive, or None when no
-    q passes that check."""
+    """(q ln t - ln M_q, q) at the largest q >= 1 of p_star - 1, p_star,
+    p_star + 1 with ln mu_q <= ln t ((0, 0) if that term is <= 0), or None.
+
+    term(q) - term(q - 1) = ln t - ln mu_q >= 0 while mu_q <= t, so that q
+    carries the maximum; on a tie ln mu_q = ln t it is read at q - 1.
+    """
     import mpmath as mp
 
-    best = None
-    for q in (p_star - 1, p_star, p_star + 1):
-        if q >= 1 and form.log_mu_mp(q) <= logt:
+    for q in (p_star + 1, p_star, p_star - 1):
+        if q >= 1 and (log_mu := form.log_mu_mp(q)) <= logt:
+            if log_mu == logt:  # terms q and q - 1 are equal
+                q -= 1
             term = q * logt - form.log_M_mp(q)
-            if best is None:
-                best = (mp.mpf(0), 0)
-            if term > best[0]:
-                best = (term, q)
-    return best
+            return (term, q) if term > 0 else (mp.mpf(0), 0)
+    return None
 
 
 def omega_mp(M: WeightSequence, log_t):
@@ -517,21 +517,18 @@ class GrowthGauge:
 
     # -- h ------------------------------------------------------------------
     def _log_a(self, ks: np.ndarray) -> np.ndarray:
+        """ln a_k; a window-only bound is read at k <= P only (h caps k)."""
         if self.a.generator is not None:
             return np.asarray(self.a.generator(ks), dtype=float)
-        ks = np.asarray(ks)
-        if ks.max() > self.a.P:
-            raise CensoredWindowError(
-                f"gauge bound window exhausted at k={int(ks.max())}",
-                required_P=int(ks.max()))
-        return self.a.logM[ks.astype(int)]
+        return self.a.logM[np.asarray(ks).astype(int)]
 
     def h(self, t: float) -> float:
         """Direct log-sum-exp evaluation of the series."""
         _require_finite("h", t)
         if t <= 0:
             raise InvalidSequenceError("h: t must be > 0")
-        logt2 = math.log(t / 2.0)
+        # a t/2 that underflows to 0 still has a log
+        logt2 = math.log(t / 2.0) if t / 2.0 > 0.0 else math.log(t) - LN2
         k_cap = DIRECT_KMAX if self.a.generator is not None else self.a.P
         lse = -math.inf
         peak = -math.inf
@@ -539,7 +536,7 @@ class GrowthGauge:
         k0 = 0
         while k0 <= k_cap:
             ks = np.arange(k0, min(k0 + block, k_cap + 1), dtype=float)
-            terms = ks * logt2 - self._log_a(ks) - gammaln(ks + 1.0)
+            terms = ks * logt2 - self._log_a(ks) - log_factorial(ks)
             m = float(terms.max())
             M_ = max(lse, m)
             lse = M_ + math.log(math.exp(lse - M_) + float(np.sum(np.exp(terms - M_))))
@@ -584,7 +581,7 @@ class GrowthGauge:
             def phi(u):
                 kk = math.exp(u)
                 return (kk * x - float(self._log_a(np.array([kk]))[0])
-                        - float(gammaln(kk + 1.0)))
+                        - float(log_factorial(kk)))
             u_hi = 16.0
             while phi(u_hi) > phi(u_hi - 0.5):
                 u_hi += 4.0

@@ -11,7 +11,22 @@ lie within a relative 1e-9 of it and never below it by more than rounding.
 import mpmath as mp
 
 from weightseq.errors import UntrustedEvaluationError
-from weightseq.weights import _bracket_bisect, _step_term
+from weightseq.weights import _bracket_bisect
+
+
+def _best_of_three(form, logt, p_star):
+    """(max(0, q ln t - ln M_q), q) over q = p_star - 1, p_star, p_star + 1
+    with mu_q <= t, (0, 0) when no such term is positive, or None when no
+    q passes that check; every passing term is evaluated."""
+    best = None
+    for q in (p_star - 1, p_star, p_star + 1):
+        if q >= 1 and form.log_mu_mp(q) <= logt:
+            term = q * logt - form.log_M_mp(q)
+            if best is None:
+                best = (mp.mpf(0), 0)
+            if term > best[0]:
+                best = (term, q)
+    return best
 
 
 def _omega_mp_bisect(M, logt):
@@ -23,5 +38,5 @@ def _omega_mp_bisect(M, logt):
     if bracket is None:
         raise UntrustedEvaluationError(
             f"omega_mp: quotients of {M.name} never exceed the argument")
-    best = _step_term(form, logt, mp.floor(mp.exp(bracket[0])))
+    best = _best_of_three(form, logt, mp.floor(mp.exp(bracket[0])))
     return (mp.mpf(0), 0) if best is None else best

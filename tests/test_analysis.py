@@ -39,6 +39,11 @@ def test_mg_fixtures():
     assert v.fails and "p" in v.witness
     v = an.check_property(sc.gevrey(2), "mg")
     assert v.holds and v.witness["C"] < 8.0
+    # log-concave, so no quotient-doubling certificate: the pair statistic
+    # (ln M_2p - 2 ln M_p)/(2p + 1) falls along the whole diagonal
+    v = an.check_property(tr.conjugate(sc.gevrey(1.5)), "mg")
+    assert v.holds and v.notes == "pair statistic stable"
+    assert v.witness == {"C": 1.0}
 
 
 def _window_constant_matrix(logM):
@@ -303,6 +308,11 @@ def test_relation_basics():
     assert an.relation(G2, G1, "preceq").fails
     assert an.relation(G2, G2, "approx").holds
     assert an.relation(G2, G2, "approx").witness["sup_fwd"] == 0.0
+    # a root ratio that grows, and one that stays at 1 (neither vanishes)
+    assert an.relation(G2, G1, "triangle").fails
+    assert an.relation(G1, G1, "triangle").status == "inconclusive"
+    with pytest.raises(InvalidSequenceError, match="unknown relation"):
+        an.relation(G1, G2, "nonsense")
 
 
 def test_relation_conjugate_pairing():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from weightseq import extension as ex
 from weightseq import operator_lab as ol
 from weightseq import seqcore as sc
+from weightseq import transforms as tr
 from weightseq import weights as wt
 from weightseq.errors import (InvalidSequenceError, PreconditionError,
                               UntrustedEvaluationError)
@@ -59,13 +60,16 @@ def test_counterexample_minimal_thresholds(gauge, minimal_model):
     assert gauge.log_g(model.logk[1]) >= math.log(2) - 1e-9
 
 
-def test_counterexample_requires_decay(minimal_model):
+def test_counterexample_requires_decay(gauge, minimal_model):
     ones = sc.custom(np.zeros(65), name="ones")
     flat = wt.build_gauge(ones)
     with pytest.raises(PreconditionError):
         ol.build_counterexample(flat, n_terms=4)
     with pytest.raises(InvalidSequenceError):
         ol.build_counterexample(wt.build_gauge(wt.markin_bound(128)), n_terms=0)
+    # ln k ~ 4 exp(2 ln g) is past float range for ln g = 800
+    with pytest.raises(PreconditionError, match="past float range"):
+        ol.build_counterexample(gauge, n_terms=3, log_g_floor=800)
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +326,27 @@ NON_FINITE_CALLS = {
     "member P nan": lambda m, v, g: sc.small_gevrey_family().member(0.5, P=math.nan),
     "uniform bound K nan": lambda m, v, g: wt.uniform_bound_construct(
         sc.small_gevrey_family(P=64), K=math.nan, P=64),
+    # an empty model, a scaling with no real finite log, an empty t grid
+    "from_floats empty": lambda m, v, g: ol.from_floats([], []),
+    "scaled negative": lambda m, v, g: v.scaled(-1.0),
+    "scaled nan": lambda m, v, g: v.scaled(math.nan),
+    "scaled inf": lambda m, v, g: v.scaled(math.inf),
+    "membership beurling empty grid": lambda m, v, g: ol.membership_verdict(
+        m, v, sc.gevrey(0.5), "beurling", []),
+    "membership roumieu empty grid": lambda m, v, g: ol.membership_verdict(
+        m, v, sc.gevrey(0.5), "roumieu", []),
+    # the restriction bound's certificate constants
+    "restriction A nan": lambda m, v, g: _restriction(A=math.nan),
+    "restriction A inf": lambda m, v, g: _restriction(A=math.inf),
+    "restriction k inf": lambda m, v, g: _restriction(k=math.inf),
+    "restriction k nan": lambda m, v, g: _restriction(k=math.nan),
 }
+
+
+def _restriction(A=2.0, k=2.0):
+    Mstar = tr.conjugate(sc.gevrey(0.5))
+    return ex.cauchy_restriction_bound(ex.CoefficientFunction.reciprocal(Mstar),
+                                       Mstar, A=A, k=k, x=0.0, n=10)
 
 
 @pytest.mark.parametrize("case", sorted(NON_FINITE_CALLS))

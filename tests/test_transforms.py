@@ -130,6 +130,8 @@ def test_dual_rejects_bad_input():
         tr.dual(sc.gevrey(0))  # quotients do not diverge
     with pytest.raises(CensoredWindowError):
         tr.dual(sc.gevrey(2, P=16), P_out=10_000)  # counts would censor
+    with pytest.raises(CensoredWindowError, match="supports only p <= 5"):
+        tr.dual(sc.gevrey(2), P_out=5)  # shorter than a sequence may be
 
 
 def test_dual_past_float_range():
@@ -139,6 +141,37 @@ def test_dual_past_float_range():
     D = tr.dual(sc.qgevrey(2, P=600))
     assert D.P == tr.DUAL_WINDOW_CAP
     assert hashlib.md5(D.logM.tobytes()).hexdigest() == "8fabc670fe389b7b8a523a04beca7786"
+
+
+def _counted_logs_whole(values, P_out):
+    """_counted_logs with every temporary built at full length: its
+    reference."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        nearest = np.rint(values)
+        snapped = np.where(
+            np.abs(values - nearest) <= 1e-9 * np.maximum(1.0, np.abs(nearest)),
+            nearest, values)
+    ps = np.arange(1, P_out, dtype=float)
+    counts = np.searchsorted(snapped, ps, side="right").astype(float)
+    logkappa = np.zeros(P_out + 1)
+    active = ps >= values[0]
+    logkappa[2:][active] = np.log(np.maximum(counts[active], 1.0))
+    return np.concatenate([[0.0], np.cumsum(logkappa[1:])])
+
+
+@pytest.mark.parametrize("n, P_out, lo", [(9, 40, 0.5), (9, 40, 7.3),
+                                          (3 * tr._BLOCK + 17, 5000, 0.5),
+                                          (2 * tr._BLOCK, 3 * tr._BLOCK, 2.0)])
+def test_counted_logs_in_blocks_match_whole_arrays(n, P_out, lo):
+    # integers with last-bit noise (snapped or not), plain reals, and an
+    # infinite tail, over several snapping blocks
+    rng = np.random.default_rng(n + P_out)
+    ints = np.rint(rng.uniform(lo, P_out, n // 2))
+    noisy = ints * (1.0 + rng.uniform(-3e-9, 3e-9, ints.size))
+    values = np.sort(np.concatenate([noisy, rng.uniform(lo, P_out, n - n // 2)]))
+    values[-2:] = np.inf
+    assert np.array_equal(tr._counted_logs(values, P_out),
+                          _counted_logs_whole(values, P_out))
 
 
 @pytest.mark.parametrize("N", [sc.gevrey(0.5, P=4096), sc.gevrey(1, P=512),
@@ -187,6 +220,18 @@ def test_bidual_gevrey2_equivalence():
     assert E.logM[0] == 0.0 and E.logM[1] == 0.0
     # squares make the bidual of this sequence exact, not just equivalent
     assert np.max(np.abs(E.logM - want.logM)) <= 1e-9
+
+
+def test_bidual_refusals():
+    # mu_21 = 2^41 of qgevrey(2): the inner dual would need e^28.4 entries
+    with pytest.raises(CensoredWindowError, match="inner dual window"):
+        tr.bidual(sc.qgevrey(2), P_out=20)
+    # the inner dual needs nu_64 + 2 = 4098 counts, and a window-only input
+    # cannot grow its counting range (4096) through a generator
+    window_only = sc.custom(sc.gevrey(2, P=64).logM)
+    with pytest.raises(CensoredWindowError, match="stops below 4098") as err:
+        tr.bidual(window_only, P_out=63)
+    assert err.value.required_P == 128
 
 
 def test_bidual_gevrey1_head():

@@ -293,7 +293,7 @@ def test_omega_mp_agrees_with_extended():
         a = wt.omega_extended(M, t)
         b = wt.omega_mp(M, math.log(t))
         assert abs(float(b) - a.value) <= 1e-6 * max(1.0, a.value)
-        assert form.log_mu(a.argmax) <= math.log(t) < form.log_mu(a.argmax + 1)
+        assert form.log_mu_mp(a.argmax) <= math.log(t) < form.log_mu_mp(a.argmax + 1)
     assert not wt.omega(M, 1e40).trusted and wt.omega_extended(M, 1e40).argmax > M.P
     with pytest.raises(UntrustedEvaluationError):
         wt.omega_mp(sc.gevrey(0), 1.0)
@@ -428,21 +428,38 @@ def test_omega_mp_lambert_w_edge():
 
 
 def test_omega_mp_mpmath_call_count(monkeypatch):
-    # O(1) exp/log per call; the bisection spends about 116
+    # O(1) exp/log per call, where the bisection spends about 116, and one
+    # log-gamma: only the step index's term is evaluated
     import mpmath as mp
-    counts = {"exp": 0, "log": 0}
+    counts = {"exp": 0, "log": 0, "loggamma": 0}
     for name in counts:
         def counted(*args, _fn=getattr(mp, name), _name=name, **kwargs):
             counts[_name] += 1
             return _fn(*args, **kwargs)
         monkeypatch.setattr(mp, name, counted)
-    with mp.workdps(50):
-        assert wt.omega_mp(sc.gevrey(0.1), 1e10) > 0
-    assert counts["exp"] < 20 and counts["log"] < 20
-    counts.update(exp=0, log=0)
-    with mp.workdps(50):
-        assert wt.omega_mp(sc.factorial_shift(sc.qgevrey(2), 1), 1e10) > 0
-    assert counts["exp"] < 20 and counts["log"] < 20
+    for M in (sc.gevrey(0.1), sc.factorial_shift(sc.qgevrey(2), 1),
+              sc.gevrey(0.5), sc.qgevrey(2)):
+        counts.update(exp=0, log=0, loggamma=0)
+        with mp.workdps(50):
+            assert wt.omega_mp(M, 1e10) > 0
+        assert counts["exp"] < 20 and counts["log"] < 20
+        assert counts["loggamma"] <= 1
+
+
+@pytest.mark.parametrize("form, q", [(sc.ClosedForm(1.0), 7),
+                                     (sc.ClosedForm(0.0, math.log(2.0)), 5),
+                                     (sc.ClosedForm(0.5, 0.1), 12)])
+def test_omega_mp_tie_takes_the_smaller_index(form, q):
+    # at ln t = ln mu_q exactly, terms q and q - 1 are equal: the step is
+    # read at q - 1, the rule the best of three kept with its strict >
+    import mpmath as mp
+    M = sc.WeightSequence("tie", form(np.arange(65)), form)
+    with mp.workdps(30):
+        logt = form.log_mu_mp(q)
+        term, p = wt._omega_step(M, logt)
+        assert p == q - 1
+        assert term == (q - 1) * logt - form.log_M_mp(q - 1)
+        assert abs(term - (q * logt - form.log_M_mp(q))) <= mp.mpf("1e-25") * term
 
 
 def test_omega_mp_refuses_constant_quotients_at_once(monkeypatch):
@@ -605,6 +622,17 @@ def test_gauge_constant_bound_fixture():
         assert gauge.h(t) == pytest.approx(t / 2, abs=1e-9)
         assert gauge.f(t) == pytest.approx(0.25, abs=1e-9)
         assert gauge.g(t) == pytest.approx(0.5, abs=1e-9)
+    # the series peaks near k = t/2 = 500, past the 65-entry window
+    with pytest.raises(CensoredWindowError, match="not decayed by k=64"):
+        gauge.h(1000.0)
+
+
+def test_gauge_at_the_smallest_subnormal(markin_gauge):
+    # t/2 underflows to 0, so ln(t/2) is taken as ln t - ln 2: every term
+    # past k = 0 vanishes; a t whose half is subnormal keeps its old path
+    assert markin_gauge.h(5e-324) == 0.0
+    assert markin_gauge.log_h(math.log(5e-324)) == math.log(1e-300)
+    assert markin_gauge.h(1e-323) == 0.0
 
 
 def test_markin_gauge_growth_and_members():
