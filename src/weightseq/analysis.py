@@ -217,8 +217,6 @@ def _check_quotient_ratio_bound(M):
     """Successive quotient ratio: nu_{p+1} <= A nu_p."""
     logmu = quotients(M)
     steps = np.diff(logmu[1:])
-    if steps.size == 0:
-        return Verdict("inconclusive", {}, (1, M.P))
     A_w = _exp_reported(steps.max())
     tol9, tol12 = structure_tol(M, 1e-9), structure_tol(M)
     if int(np.argmax(steps)) <= 3 * len(steps) // 4 or \

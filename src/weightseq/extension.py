@@ -32,6 +32,15 @@ from .weights import _require_finite, _window_omega, omega
 NEG_INF = -np.inf
 
 
+def _lse(v: np.ndarray) -> float:
+    """ln sum_k e^(v_k) as m + ln sum_k e^(v_k - m), m = max v; -inf for an
+    empty or all -inf v."""
+    m = float(v.max()) if v.size else NEG_INF
+    if m == NEG_INF:
+        return NEG_INF
+    return m + math.log(float(np.sum(np.exp(v - m))))
+
+
 @dataclass(frozen=True)
 class CoefficientFunction:
     """F(z) = sum_k b_k z^k given through logc[k] = ln|b_k| (-inf allowed)."""
@@ -70,11 +79,7 @@ class CoefficientFunction:
         if t == 0.0:
             return float(self.logc[0])
         k = np.arange(self.K + 1, dtype=float)
-        terms = self.logc + k * math.log(t)
-        m = float(terms.max())
-        if m == NEG_INF:
-            return NEG_INF
-        return m + math.log(float(np.sum(np.exp(terms - m))))
+        return _lse(self.logc + k * math.log(t))
 
     def derivative_log_abs(self, n: int, x: float) -> float:
         """ln |F^(n)(x)| exactly from the coefficients.
@@ -100,17 +105,8 @@ class CoefficientFunction:
             sgn = sgn * np.where((j - n) % 2 == 0, 1.0, -1.0)
         finite = logterm > NEG_INF
         logterm, sgn = logterm[finite], sgn[finite]
-        if logterm.size == 0:
-            return NEG_INF
-
-        def lse(v):
-            if v.size == 0:
-                return NEG_INF
-            m = float(v.max())
-            return m + math.log(float(np.sum(np.exp(v - m))))
-
-        pos = lse(logterm[sgn > 0])
-        neg = lse(logterm[sgn < 0])
+        pos = _lse(logterm[sgn > 0])
+        neg = _lse(logterm[sgn < 0])
         if neg == NEG_INF:
             return pos
         if pos == NEG_INF:

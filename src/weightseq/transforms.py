@@ -26,10 +26,9 @@ from .errors import (CensoredWindowError, InconclusiveTailError,
 from .seqcore import (ClosedForm, WeightSequence, _factorial_image, _integer,
                       from_quotients, in_lc_window, is_log_convex, quotients)
 
-# default ceiling for materialised dual windows (entries, not values)
-DUAL_WINDOW_CAP = 200_000
-# window doublings regularize_almost_decreasing tries before it gives up
-REGULARIZE_DOUBLINGS = 8
+# ceiling for a materialised window (entries, not values): dual's default
+# window and regularize_almost_decreasing's extension to a closed form's peak
+WINDOW_CAP = 200_000
 # entries _counted_logs snaps at a time
 _BLOCK = 1 << 16
 
@@ -103,17 +102,17 @@ def dual(N: WeightSequence, P_out: int | None = None) -> WeightSequence:
             "quotients on its window")
     hard_cap = _counting_range(N)
     if P_out is None:
-        P_out = min(hard_cap, DUAL_WINDOW_CAP)
-    P_out = _integer(P_out, "dual: window length P_out", 0)
+        P_out = min(hard_cap, WINDOW_CAP)
+        if P_out < 8:
+            raise CensoredWindowError(
+                f"dual: counting range of {N.name} supports only p <= {P_out}; "
+                "enlarge the input window", required_P=P_out)
+    P_out = _integer(P_out, "dual: window length P_out", 8)
     if P_out > hard_cap:
         raise CensoredWindowError(
             f"dual: requested window {P_out} exceeds counting range "
             f"(largest usable p = {hard_cap}); enlarge {N.name}'s window",
             required_P=P_out)
-    if P_out < 8:
-        raise CensoredWindowError(
-            f"dual: counting range of {N.name} supports only p <= {P_out}; "
-            "enlarge the input window", required_P=P_out)
     # nu_1..nu_P, non-decreasing; a quotient past float range is inf, which
     # exceeds every count, as it should
     with np.errstate(over="ignore"):
@@ -131,7 +130,7 @@ def bidual(N: WeightSequence, P_out: int | None = None) -> WeightSequence:
     until its counting range covers P_inner.
     """
     P_out = min(N.P, 2000) if P_out is None else _integer(
-        P_out, "bidual: window length P_out", 0)
+        P_out, "bidual: window length P_out", 8)
     M = N.extended(P_out + 1)
     lim = quotients(M)[P_out + 1]
     if lim > math.log(50_000_000):
@@ -158,7 +157,7 @@ def bidual(N: WeightSequence, P_out: int | None = None) -> WeightSequence:
 @dataclass(frozen=True)
 class RegularizationResult:
     L: WeightSequence
-    H: float                # window value; lower bound for the true constant
+    H: float                # a ClosedForm's constant, else a window lower bound
 
 
 def _tail_sup_resolvable(ratio: np.ndarray) -> bool:
@@ -178,29 +177,34 @@ def regularize_almost_decreasing(M: WeightSequence) -> RegularizationResult:
 
     The output satisfies lambda_p/p non-increasing and
     H^{-1} mu_p <= lambda_p <= mu_p pointwise on the window; lambda_0 = 1.
-    H is computed on the window and reported as a lower bound for the true
-    asymptotic constant.  A window whose tail sup of mu_q/q is unresolved
-    is doubled, up to REGULARIZE_DOUBLINGS times, through its generator,
-    unless that generator is a ClosedForm whose mu_q/q tends to infinity
-    (b > 0, or b = 0 < a - 1): no window resolves a sup that is infinite,
-    so that tail is refused at once.
+    A ClosedForm generator decides the tail, ln(mu_q/q) = (a - 1) ln q +
+    b (2q - 1): its sup is infinite for b > 0 or b = 0 < a - 1, and refused;
+    for a > 1 the window is extended once to the last rise of ln(mu_q/q),
+    q* = (a - 1)/(-2b), refused past WINDOW_CAP; otherwise mu_q/q falls past
+    the window, whose sup is exact.  Any other input must pass
+    _tail_sup_resolvable, and H is then a window lower bound for the true
+    constant.
     """
+    refusal = (f"regularize: tail sup of mu_q/q unresolved within window "
+               f"of {M.name}")
+    form = M.generator
     work = M
-    for attempt in range(REGULARIZE_DOUBLINGS + 1):
-        logmu = quotients(work)
-        p = np.arange(1, work.P + 1, dtype=float)
-        log_ratio = logmu[1:] - np.log(p)     # ln(mu_q / q)
-        if _tail_sup_resolvable(log_ratio):
-            break
-        refusal = (f"regularize: tail sup of mu_q/q unresolved within window "
-                   f"of {M.name}")
-        form = work.generator
-        if isinstance(form, ClosedForm) and (form.b > 0 or form.b == 0 < form.a - 1):
+    if isinstance(form, ClosedForm):
+        if form.b > 0 or form.b == 0 < form.a - 1:
             raise InconclusiveTailError(
                 f"{refusal}; mu_q/q of its closed form tends to infinity")
-        if form is None or attempt == REGULARIZE_DOUBLINGS:
-            raise InconclusiveTailError(refusal)
-        work = work.extended(work.P * 2)
+        if form.a > 1:
+            q_star = (form.a - 1) / (-2 * form.b)
+            if q_star > WINDOW_CAP:
+                raise InconclusiveTailError(
+                    f"{refusal}; mu_q/q of its closed form peaks at "
+                    f"q = {q_star:.6g}, past WINDOW_CAP = {WINDOW_CAP}")
+            work = M.extended(math.ceil(q_star))
+    logmu = quotients(work)
+    p = np.arange(1, work.P + 1, dtype=float)
+    log_ratio = logmu[1:] - np.log(p)     # ln(mu_q / q)
+    if not isinstance(form, ClosedForm) and not _tail_sup_resolvable(log_ratio):
+        raise InconclusiveTailError(refusal)
     # running sup from the right of ln(mu_q/q)
     log_sup = np.maximum.accumulate(log_ratio[::-1])[::-1]
     # H = sup_{p<=q} (mu_q/q) / (mu_p/p)

@@ -257,6 +257,39 @@ def test_non_finite_witness_withdrawn(monkeypatch):
     assert an.check_property(sc.gevrey(1), "fake") is ok
 
 
+def test_dc_fails_on_a_convexly_diverging_statistic():
+    # ln mu_p = 1e-3 p^2: (ln mu_p)/p = 1e-3 p grows linearly
+    p = np.arange(513, dtype=float)
+    v = an.check_property(sc.from_quotients(1e-3 * p**2, name="sq"), "dc")
+    assert v.fails and v.witness["p"] == 512
+
+
+def test_quotient_ratio_bound_inconclusive_on_a_late_jagged_step():
+    # steps of ln mu are 0.1 except a 0.15 and a final 0.2: the largest step
+    # is at the window end, but the tail neither settles nor rises steadily
+    steps = np.full(511, 0.1)
+    steps[-3], steps[-1] = 0.15, 0.2
+    M = sc.from_quotients(np.concatenate([[0.0, 0.0], np.cumsum(steps)]), name="jag")
+    v = an.check_property(M, "quotient-ratio-bound")
+    assert v.status == "inconclusive"
+    assert v.witness["A_window"] == pytest.approx(math.exp(0.2), rel=1e-9)
+
+
+def test_gamma1_inconclusive_near_rate_one():
+    # quotient rate 1.02: neither past the 1.05 fit threshold nor at most 1
+    v = an.check_property(sc.gevrey(1.02), "gamma1")
+    assert v.status == "inconclusive"
+    lo, hi = v.witness["tail_rate_range"]
+    assert 1.0 < lo <= hi < 1.05
+
+
+def test_momega1_fails_on_falling_roots():
+    # ln M_p = -p ln p: the root statistic is -ln L < 0 for every L
+    p = np.arange(513, dtype=float)
+    v = an.check_property(sc.custom(-p * np.log(np.maximum(p, 1.0))), "momega1")
+    assert v.fails and v.witness == {"tested_L": [2, 4, 8, 16]}
+
+
 def test_beta_conditions():
     assert an.check_property(sc.gevrey(2), "beta1").holds
     assert an.check_property(sc.qgevrey(2), "beta1").holds
@@ -313,6 +346,19 @@ def test_relation_basics():
     assert an.relation(G1, G1, "triangle").status == "inconclusive"
     with pytest.raises(InvalidSequenceError, match="unknown relation"):
         an.relation(G1, G2, "nonsense")
+
+
+def test_relation_undecided_branches():
+    G1, G2 = sc.gevrey(1), sc.gevrey(2)
+    v = an.relation(G2, G1, "le")
+    assert v.fails and v.witness == {"p": 2, "excess": math.log(2.0)}
+    # the same windows without generators: a growing root ratio is not
+    # certified to keep growing, so preceq and approx stay open
+    W1, W2 = sc.custom(G1.logM), sc.custom(G2.logM)
+    assert an.relation(W2, W1, "preceq").status == "inconclusive"
+    v = an.relation(W2, W1, "approx")
+    assert v.status == "inconclusive"
+    assert v.witness == {"fwd": "inconclusive", "bwd": "holds"}
 
 
 def test_relation_conjugate_pairing():
@@ -399,6 +445,11 @@ def test_mixed_om1():
         "dual-gevrey", lambda b, P: tr.dual(sc.gevrey(5.0 - b, P=256), P_out=2048))
     v2 = an.mixed_om1_check(dual_fam, [(2.0, 3.0)])
     assert v2.holds
+    # j ln 2 - 0.1 ln j! peaks at j ~ 1024 and is still positive at 2048:
+    # the tail falls, but not below 0 inside the window
+    v3 = an.mixed_om1_check(sc.small_gevrey_family(P=2048), [(0.4, 0.5)])
+    assert v3.status == "inconclusive"
+    assert v3.witness == {"pairs": {"(0.4,0.5)": {"status": "inconclusive"}}}
 
 
 def test_index_reciprocity():

@@ -42,6 +42,18 @@ def test_radial_majorant_matches_direct_sum():
         assert F.log_radial_majorant(t) == pytest.approx(math.log(direct), abs=1e-12)
 
 
+def test_lse_edge_cases_and_bits():
+    assert ex._lse(np.array([])) == -np.inf
+    assert ex._lse(np.full(4, -np.inf)) == -np.inf
+    v = np.array([-np.inf, 3.0, -2.5, 700.0, 699.9])
+    m = 700.0
+    assert ex._lse(v) == m + math.log(float(np.sum(np.exp(v - m))))
+    # all coefficients past n + 2 vanish: F^(n+3) is identically 0
+    F = poly_coeffs(np.array([1.0, 2.0, 3.0] + [0.0] * 9))
+    assert F.derivative_log_abs(3, 0.4) == -np.inf
+    assert F.log_radial_majorant(1.0) == pytest.approx(math.log(6.0), abs=1e-15)
+
+
 @pytest.mark.parametrize("call", [
     lambda F: F.log_radial_majorant(math.inf),
     lambda F: F.log_radial_majorant(math.nan),

@@ -187,6 +187,9 @@ def test_membership_counterexample_fails(minimal_model):
     v = ol.membership_verdict(model, vec, sc.gevrey(0.3), "roumieu", [1.0, 2.0])
     assert v.status == "fails"
     assert v.mode == "roumieu"
+    v = ol.membership_verdict(model, vec, sc.gevrey(0.3), "beurling", [1.0, 2.0])
+    assert v.status == "fails"
+    assert v.mode == "beurling"
 
 
 def test_membership_finite_support_always_holds():

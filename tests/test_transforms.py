@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from weightseq import seqcore as sc
 from weightseq import transforms as tr
 from weightseq.errors import (CensoredWindowError, InconclusiveTailError,
-                              PreconditionError)
+                              InvalidSequenceError, PreconditionError)
 
 finite_logs = st.lists(
     st.floats(min_value=-40.0, max_value=40.0, allow_nan=False,
@@ -130,8 +130,17 @@ def test_dual_rejects_bad_input():
         tr.dual(sc.gevrey(0))  # quotients do not diverge
     with pytest.raises(CensoredWindowError):
         tr.dual(sc.gevrey(2, P=16), P_out=10_000)  # counts would censor
-    with pytest.raises(CensoredWindowError, match="supports only p <= 5"):
-        tr.dual(sc.gevrey(2), P_out=5)  # shorter than a sequence may be
+    # an explicit P_out below 8 is the caller's error, not the input's
+    with pytest.raises(InvalidSequenceError,
+                       match=r"^dual: window length P_out must be an integer >= 8, got 5$"):
+        tr.dual(sc.gevrey(2), P_out=5)
+    with pytest.raises(InvalidSequenceError,
+                       match=r"^bidual: window length P_out must be an integer >= 8, got 5$"):
+        tr.bidual(sc.gevrey(2), P_out=5)
+    # the input's counting range (512^0.3 = 6.5) cuts the default window
+    # below 8: the input is blamed
+    with pytest.raises(CensoredWindowError, match="supports only p <= 6; enlarge"):
+        tr.dual(sc.gevrey(0.3, P=512))
 
 
 def test_dual_past_float_range():
@@ -139,7 +148,7 @@ def test_dual_past_float_range():
     # inf and exceed every count, without a warning; the 200 000-entry
     # window is the one recorded before the warnings were silenced
     D = tr.dual(sc.qgevrey(2, P=600))
-    assert D.P == tr.DUAL_WINDOW_CAP
+    assert D.P == tr.WINDOW_CAP
     assert hashlib.md5(D.logM.tobytes()).hexdigest() == "8fabc670fe389b7b8a523a04beca7786"
 
 
@@ -180,7 +189,7 @@ def test_counted_logs_in_blocks_match_whole_arrays(n, P_out, lo):
                          ids=["gevrey0.5", "gevrey1", "gevrey2-64", "gevrey2-600",
                               "qgevrey2"])
 def test_dual_default_window_is_counting_range(N):
-    assert tr.dual(N).P == min(tr._counting_range(N), tr.DUAL_WINDOW_CAP)
+    assert tr.dual(N).P == min(tr._counting_range(N), tr.WINDOW_CAP)
 
 
 @pytest.mark.parametrize("N, P_out, digest", [
@@ -266,52 +275,89 @@ def test_regularize_dual_gevrey2():
     assert reg.H > 1.0
 
 
-def test_regularize_doubles_the_window():
-    # mu_q/q of this ClosedForm(2, -1e-3) peaks at q = 500: its tail sup is
-    # resolved only after two doublings of the window
+def test_regularize_extends_to_the_last_rise():
+    # mu_q/q of this ClosedForm(2, -1e-3) rises until q* = 1/(2e-3) = 500:
+    # the window is extended once to 500, with H as before
     M = sc.factorial_shift(tr.conjugate(sc.qgevrey(math.exp(1e-3), P=256)), 1)
     reg = tr.regularize_almost_decreasing(M)
-    assert reg.L.P == 1024
+    assert reg.L.P == 500 and reg.H == 184.30796815171487
     lam = np.exp(sc.quotients(reg.L))
-    mu = np.exp(sc.quotients(M.extended(1024)))
-    p = np.arange(1, 1025, dtype=float)
+    mu = np.exp(sc.quotients(M.extended(500)))
+    p = np.arange(1, 501, dtype=float)
     assert np.all(np.diff(lam[1:] / p) <= 1e-12)
     assert np.all(lam[1:] <= mu[1:] * (1 + 1e-12))
     assert np.all(lam[1:] >= mu[1:] / reg.H * (1 - 1e-12))
-    # with the peak at q = 5e5, eight doublings (P = 65536) fall short
+    # with the peak at q* = 5e5, past WINDOW_CAP, nothing is extended
     far = sc.factorial_shift(tr.conjugate(sc.qgevrey(math.exp(1e-6), P=256)), 1)
-    with pytest.raises(InconclusiveTailError):
+    with pytest.raises(InconclusiveTailError, match="peaks at q = 500000, past WINDOW_CAP"):
         tr.regularize_almost_decreasing(far)
 
 
-@pytest.mark.parametrize("M", [sc.gevrey(1.7, P=1024), sc.qgevrey(2, P=1024)],
-                         ids=["gevrey1.7", "qgevrey2"])
-def test_regularize_refuses_an_infinite_tail_at_once(M, monkeypatch):
-    # mu_q/q of these closed forms tends to infinity, so no doubling of the
-    # window could resolve its sup
+@pytest.mark.parametrize("a, b", [
+    (a, b) for a in (-0.5, 0, 0.5, 1, 1.5, 2, 3) for b in (0, -1e-3, -0.1)
+    if not b == 0 < a - 1])  # b = 0 < a - 1: mu_q/q tends to infinity
+def test_regularize_finite_closed_form_tails(a, b):
+    form = sc.ClosedForm(a, b)
+    M = sc.WeightSequence("cf", form(np.arange(257)), form)
+    reg = tr.regularize_almost_decreasing(M)
+    # q* = (a - 1)/(-2b) is the last rise of ln(mu_q/q) = (a-1) ln q + b(2q-1)
+    P = max(256, math.ceil((a - 1) / (-2 * b))) if a > 1 else 256
+    assert reg.L.P == P
+    lam = np.exp(sc.quotients(reg.L))
+    mu = np.exp(sc.quotients(M.extended(P)))
+    p = np.arange(1, P + 1, dtype=float)
+    assert np.all(np.diff(lam[1:] / p) <= 1e-12)
+    assert np.all(lam[1:] <= mu[1:] * (1 + 1e-12))
+    assert np.all(lam[1:] >= mu[1:] / reg.H * (1 - 1e-12))
+
+
+def _record_extended(monkeypatch):
     calls = []
     extended = sc.WeightSequence.extended
     monkeypatch.setattr(sc.WeightSequence, "extended",
                         lambda self, P_new: calls.append(P_new) or extended(self, P_new))
-    with pytest.raises(InconclusiveTailError,
-                       match=r"^regularize: tail sup of mu_q/q unresolved within window "
-                             rf"of {re.escape(M.name)}; "):
-        tr.regularize_almost_decreasing(M)
-    assert calls == []
+    return calls
 
 
 _CF = sc.ClosedForm(0.9, 1e-4)
 
 
+@pytest.mark.parametrize("M", [
+    sc.gevrey(1.7, P=1024), sc.qgevrey(2, P=1024),
+    # mu_q/q falls until q = 500 and then rises: the window 0..512 looks
+    # resolved (its block maxima decrease), but the sup is infinite
+    sc.WeightSequence("cf", _CF(np.arange(513)), _CF),
+], ids=["gevrey1.7", "qgevrey2", "closed-form-0.9-1e-4"])
+def test_regularize_refuses_an_infinite_tail_at_once(M, monkeypatch):
+    # mu_q/q of these closed forms tends to infinity: refused from the form,
+    # with no window extension
+    calls = _record_extended(monkeypatch)
+    with pytest.raises(InconclusiveTailError,
+                       match=r"^regularize: tail sup of mu_q/q unresolved within window "
+                             rf"of {re.escape(M.name)}; mu_q/q of its closed form "
+                             "tends to infinity$"):
+        tr.regularize_almost_decreasing(M)
+    assert calls == []
+
+
+@pytest.mark.parametrize("P", [2048, 10**5])
+def test_regularize_gevrey1_reads_its_form(P, monkeypatch):
+    # mu_q/q = 1: the window's sup is exact, so no window is extended, and
+    # H is 1 up to the rounding of ln M_p (8.2e-10 at P = 1e5, where
+    # ln M_P ~ 1.05e6 has an ulp of 2.3e-10)
+    calls = _record_extended(monkeypatch)
+    M = sc.gevrey(1, P=P)
+    reg = tr.regularize_almost_decreasing(M)
+    assert calls == [] and reg.L.P == P
+    assert 0.0 <= math.log(reg.H) <= sc.structure_tol(M)
+
+
 @pytest.mark.parametrize("M, H, md5", [
     (sc.gevrey(1, P=512), 1.0000000000015143, "47276405fad08c906ce1705c94707e95"),
     (sc.gevrey(0.999999, P=512), 1.0, "02a8faded027ab6a1228f1b9964864ab"),
-    # mu_q/q -> infinity, but its window is resolved (decreasing) on 0..512
-    (sc.WeightSequence("cf", _CF(np.arange(513)), _CF), 1.0000283477398388,
-     "d7689c9e41a84e9c879fa8116fc54c6c"),
-], ids=["gevrey1", "gevrey0.999999", "closed-form-0.9-1e-4"])
+], ids=["gevrey1", "gevrey0.999999"])
 def test_regularize_resolved_windows_keep_their_output(M, H, md5):
-    # recorded before closed forms with infinite tails were refused at once
+    # recorded while unresolved windows were still doubled
     reg = tr.regularize_almost_decreasing(M)
     assert reg.H == H and reg.L.P == 512
     assert hashlib.md5(reg.L.logM.tobytes()).hexdigest() == md5
