@@ -90,13 +90,12 @@ def _block_minima_nondecreasing(x: np.ndarray) -> bool:
 # ---------------------------------------------------------------------------
 
 def _check_lc(M):
-    d = np.diff(quotients(M)[1:])
-    bad = np.flatnonzero(d < -structure_tol(M))
-    if bad.size:
-        p = int(bad[0] + 1)
-        return Verdict("fails", {"p": p, "drop": float(d[bad[0]])}, (1, M.P),
-                       "quotient decreases")
-    return Verdict("holds", {"min_step": float(d.min()) if d.size else 0.0}, (1, M.P))
+    if is_log_convex(M):
+        return Verdict("holds", {"min_step": M._min_logmu_step}, (1, M.P))
+    d = np.diff(M.logM, 2)
+    bad = int(np.flatnonzero(d < -structure_tol(M))[0])
+    return Verdict("fails", {"p": bad + 1, "drop": float(d[bad])}, (1, M.P),
+                   "quotient decreases")
 
 
 def _check_normalized(M):

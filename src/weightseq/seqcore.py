@@ -488,7 +488,7 @@ def in_lc_window(M: WeightSequence) -> bool:
     exceeding 1 with an increasing trend by the end of the window."""
     if not (is_normalized(M) and is_log_convex(M)):
         return False
-    tail = quotients(M)[-max(4, M.P // 4):]
+    tail = np.diff(M.logM[-max(4, M.P // 4) - 1:])  # the last log quotients
     return bool(tail[-1] > math.log(1.5) and tail[-1] >= tail[0] - structure_tol(M))
 
 

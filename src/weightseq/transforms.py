@@ -22,15 +22,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (CensoredWindowError, InconclusiveTailError,
-                     PreconditionError)
+                     InvalidSequenceError, PreconditionError)
 from .seqcore import (ClosedForm, WeightSequence, _factorial_image, _integer,
                       from_quotients, in_lc_window, is_log_convex, quotients)
 
 # ceiling for a materialised window (entries, not values): dual's default
 # window and regularize_almost_decreasing's extension to a closed form's peak
 WINDOW_CAP = 200_000
-# entries _counted_logs snaps at a time
-_BLOCK = 1 << 16
+# ceiling for any dual's window: an explicit P_out, bidual's inner dual
+DUAL_CEILING = 50_000_000
 
 
 def conjugate(M: WeightSequence) -> WeightSequence:
@@ -50,30 +50,22 @@ def _counted_logs(values: np.ndarray, P_out: int) -> np.ndarray:
     it and kappa_0 = kappa_1 = 1, where Sigma(p) = #{j >= 1 : v_j <= p} for
     the non-decreasing values v_1, v_2, ...  Ties are counted inclusively.
     Quotients that are integers in exact arithmetic (Gevrey order 1, dual
-    sequences) come back from the log domain with last-bit noise, so values
-    within relative 1e-9 of an integer are snapped before counting.
+    sequences) come back from the log domain with last-bit noise, so v
+    counts at p when v <= p*(1 + 1e-9); an infinite value counts nowhere.
     """
-    # an infinite value exceeds every count: its inf - inf is NaN, which
-    # fails the snap test and keeps the inf.  Snapped in blocks, and kappa
-    # formed in place: bidual's two counts run over 4e6 entries, where each
-    # full-length temporary is 32 MB.
-    snapped = np.empty_like(values)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(0, values.size, _BLOCK):
-            v = values[i : i + _BLOCK]
-            nearest = np.rint(v)
-            snapped[i : i + _BLOCK] = np.where(
-                np.abs(v - nearest) <= 1e-9 * np.maximum(1.0, np.abs(nearest)),
-                nearest, v)
+    # the active p >= values[0] are a suffix; kappa is formed in place, since
+    # bidual's two counts run to 4e6 entries, 32 MB per temporary
     ps = np.arange(1, P_out, dtype=float)  # p = 1..P_out-1 feeds kappa_{p+1}
-    active = ps >= values[0]
-    counts = np.searchsorted(snapped, ps, side="right")[active]
-    del ps, snapped
+    first = int(np.searchsorted(ps, values[0]))
+    thresholds = ps[first:]
+    thresholds *= 1.0 + 1e-9
+    counts = np.searchsorted(values, thresholds, side="right")
+    del ps, thresholds
     np.maximum(counts, 1, out=counts)
     counts = counts.astype(float)
     np.log(counts, out=counts)
     logK = np.zeros(P_out + 1)
-    logK[2:][active] = counts
+    logK[2 + first:] = counts
     del counts
     np.cumsum(logK[1:], out=logK[1:])
     return logK
@@ -94,7 +86,8 @@ def dual(N: WeightSequence, P_out: int | None = None) -> WeightSequence:
     delta_{p+1} = Sigma_N(p) for p >= nu_1 and delta_{p+1} = 1 for integer
     p with -1 <= p < nu_1; D_p is the product of the deltas.  The output
     window stays inside N's counting range, so every count uses only
-    quotients whose values fit inside N's window (no truncation censoring).
+    quotients whose values fit inside N's window (no truncation censoring),
+    and an explicit P_out may not pass DUAL_CEILING.
     """
     if not in_lc_window(N):
         raise PreconditionError(
@@ -108,6 +101,10 @@ def dual(N: WeightSequence, P_out: int | None = None) -> WeightSequence:
                 f"dual: counting range of {N.name} supports only p <= {P_out}; "
                 "enlarge the input window", required_P=P_out)
     P_out = _integer(P_out, "dual: window length P_out", 8)
+    if P_out > DUAL_CEILING:
+        raise InvalidSequenceError(
+            f"dual: window length P_out = {P_out} exceeds DUAL_CEILING = "
+            f"{DUAL_CEILING}")
     if P_out > hard_cap:
         raise CensoredWindowError(
             f"dual: requested window {P_out} exceeds counting range "
@@ -115,8 +112,9 @@ def dual(N: WeightSequence, P_out: int | None = None) -> WeightSequence:
             required_P=P_out)
     # nu_1..nu_P, non-decreasing; a quotient past float range is inf, which
     # exceeds every count, as it should
+    nu = np.diff(N.logM)
     with np.errstate(over="ignore"):
-        nu = np.exp(quotients(N)[1:])
+        np.exp(nu, out=nu)
     return WeightSequence(f"dual[{N.name}]", _counted_logs(nu, P_out),
                           provenance=f"transform:dual({N.provenance})")
 
@@ -126,21 +124,20 @@ def bidual(N: WeightSequence, P_out: int | None = None) -> WeightSequence:
 
     The inner dual's quotients must pass P_out: delta_j = Sigma_N(j-1) >
     P_out needs j - 1 > nu_{P_out+1}, so the inner window is P_inner =
-    floor(nu_{P_out+1}) + 2.  N's window is doubled through its generator
-    until its counting range covers P_inner.
+    floor(nu_{P_out+1}) + 2, at least 8.  N's window is doubled through its
+    generator until its counting range covers P_inner, and refused once the
+    next window would pass WINDOW_CAP.
     """
     P_out = min(N.P, 2000) if P_out is None else _integer(
         P_out, "bidual: window length P_out", 8)
     M = N.extended(P_out + 1)
     lim = quotients(M)[P_out + 1]
-    if lim > math.log(50_000_000):
+    if lim > math.log(DUAL_CEILING):
         raise CensoredWindowError(
             f"bidual: inner dual window would need ~e^{lim:.1f} entries")
-    P_inner = int(math.floor(math.exp(lim))) + 2
-    for _ in range(24):
-        if _counting_range(M) >= P_inner:
-            break
-        if M.generator is None:
+    P_inner = max(int(math.floor(math.exp(lim))) + 2, 8)
+    while _counting_range(M) < P_inner:
+        if M.generator is None or 2 * M.P > WINDOW_CAP:
             raise CensoredWindowError(
                 f"bidual: counting range of {M.name} stops below {P_inner}",
                 required_P=2 * M.P)

@@ -1,16 +1,21 @@
 import hashlib
 import math
 import re
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from weightseq import cli
 from weightseq import seqcore as sc
 from weightseq import transforms as tr
 from weightseq.errors import (CensoredWindowError, InconclusiveTailError,
-                              InvalidSequenceError, PreconditionError)
+                              InvalidSequenceError, PreconditionError,
+                              WeightSeqError)
+from weightseq.weights import markin_bound
 
 finite_logs = st.lists(
     st.floats(min_value=-40.0, max_value=40.0, allow_nan=False,
@@ -153,8 +158,9 @@ def test_dual_past_float_range():
 
 
 def _counted_logs_whole(values, P_out):
-    """_counted_logs with every temporary built at full length: its
-    reference."""
+    """_counted_logs' former rule, with every temporary at full length:
+    values within relative 1e-9 of an integer are snapped to it, then
+    counted.  The reference off the edges p(1 + 1e-9)."""
     with np.errstate(over="ignore", invalid="ignore"):
         nearest = np.rint(values)
         snapped = np.where(
@@ -168,19 +174,74 @@ def _counted_logs_whole(values, P_out):
     return np.concatenate([[0.0], np.cumsum(logkappa[1:])])
 
 
-@pytest.mark.parametrize("n, P_out, lo", [(9, 40, 0.5), (9, 40, 7.3),
-                                          (3 * tr._BLOCK + 17, 5000, 0.5),
-                                          (2 * tr._BLOCK, 3 * tr._BLOCK, 2.0)])
-def test_counted_logs_in_blocks_match_whole_arrays(n, P_out, lo):
-    # integers with last-bit noise (snapped or not), plain reals, and an
-    # infinite tail, over several snapping blocks
+def _off_the_edges(values):
+    """values at least 1e-12 (relative) away from every threshold p(1 + 1e-9),
+    where the threshold rule and the snap may round differently."""
+    edge = np.rint(values) * (1.0 + 1e-9)
+    return values[np.abs(values - edge) > 1e-12 * values]
+
+
+@pytest.mark.parametrize("n, P_out, lo, draws", [(9, 40, 0.5, 1500),
+                                                 (9, 40, 7.3, 1500),
+                                                 (196625, 5000, 0.5, 2),
+                                                 (131072, 196608, 2.0, 2)],
+                         ids=["9-40-0.5", "9-40-7.3", "196625-5000-0.5",
+                              "131072-196608-2.0"])
+def test_counted_logs_match_the_snap_reference(n, P_out, lo, draws):
+    # integers with relative noise up to 3e-9 (inside the tolerance or not),
+    # plain reals and an infinite tail: off the edges, counting against
+    # p(1 + 1e-9) is the snap to integers within relative 1e-9
     rng = np.random.default_rng(n + P_out)
-    ints = np.rint(rng.uniform(lo, P_out, n // 2))
-    noisy = ints * (1.0 + rng.uniform(-3e-9, 3e-9, ints.size))
-    values = np.sort(np.concatenate([noisy, rng.uniform(lo, P_out, n - n // 2)]))
-    values[-2:] = np.inf
-    assert np.array_equal(tr._counted_logs(values, P_out),
-                          _counted_logs_whole(values, P_out))
+    for _ in range(draws):
+        ints = np.rint(rng.uniform(lo, P_out, n // 2))
+        noisy = ints * (1.0 + rng.uniform(-3e-9, 3e-9, ints.size))
+        values = np.concatenate([noisy, rng.uniform(lo, P_out, n - n // 2)])
+        values = np.sort(_off_the_edges(values))
+        values[-2:] = np.inf
+        assert np.array_equal(tr._counted_logs(values, P_out),
+                              _counted_logs_whole(values, P_out))
+
+
+def _kappa(values, P_out):
+    """The counts kappa_0..kappa_P_out that _counted_logs takes logs of."""
+    return np.rint(np.exp(np.diff(tr._counted_logs(values, P_out),
+                                  prepend=0.0))).astype(int)
+
+
+def test_counted_logs_threshold_edge():
+    edge = 5 * (1.0 + 1e-9)
+    above = np.nextafter(edge, np.inf)
+    # kappa_{p+1} counts the values <= p(1 + 1e-9)
+    assert list(_kappa(np.array([1.0, 2.0, edge, 9.0]), 12)[5:8]) == [2, 3, 3]
+    assert list(_kappa(np.array([1.0, 2.0, above, 9.0]), 12)[5:8]) == [2, 2, 3]
+
+
+def test_counted_logs_exact_first_value_and_infinities():
+    # nu_1 = 3 exactly: kappa_{p+1} = 1 for p < 3, and p = 3 counts nu_1
+    got = _kappa(np.array([3.0, 3.0, 4.0, 6.0, 6.0]), 10)
+    assert list(got) == [1, 1, 1, 1, 2, 3, 3, 5, 5, 5, 5]
+    # inf exceeds every count; all-inf values leave every kappa at 1
+    assert list(_kappa(np.array([1.0, 2.0, np.inf, np.inf]), 10)) == \
+        [1, 1, 1, 2, 2, 2, 2, 2, 2, 2, 2]
+    assert np.array_equal(tr._counted_logs(np.full(6, np.inf), 10),
+                          np.zeros(11))
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_counted_logs_memory():
+    # no copy of the values; the counts are formed in place
+    few = np.arange(1.0, 4003.0)
+    assert _traced_peak(lambda: tr._counted_logs(few, 10**6)) <= 17 * 10**6
+    many = np.linspace(1.0, 3000.0, 10**6)
+    assert _traced_peak(lambda: tr._counted_logs(many, 2000)) <= 10**6
 
 
 @pytest.mark.parametrize("N", [sc.gevrey(0.5, P=4096), sc.gevrey(1, P=512),
@@ -241,6 +302,49 @@ def test_bidual_refusals():
     with pytest.raises(CensoredWindowError, match="stops below 4098") as err:
         tr.bidual(window_only, P_out=63)
     assert err.value.required_P == 128
+
+
+@pytest.mark.parametrize("make, P_out", [
+    (lambda: sc.gevrey(0), None),
+    (lambda: markin_bound(512), None),
+    (lambda: sc.gevrey(0.06), 2000),
+], ids=["gevrey0", "markin_bound", "gevrey0.06-2000"])
+def test_bidual_doubling_stops_at_the_window_cap(make, P_out):
+    # the counting range grows too slowly (or never): the doubling is
+    # refused before its window passes WINDOW_CAP, in a few MB
+    N = make()
+
+    def call():
+        with pytest.raises(CensoredWindowError, match="stops below 8") as err:
+            tr.bidual(N, P_out=P_out)
+        assert tr.WINDOW_CAP < err.value.required_P <= 2 * tr.WINDOW_CAP
+
+    assert _traced_peak(call) < 16 * 2**20
+
+
+def test_bidual_gevrey02_against_integer_counts():
+    # nu_2001 = 2001^0.2 = 4.6, so the inner dual has its least window, 8:
+    # delta_1 = 1 and delta_{q+1} = #{i : i^0.2 <= q} = q^5 for q = 1..7
+    E = tr.bidual(sc.gevrey(0.2), P_out=2000)
+    delta = [1] + [q**5 for q in range(1, 8)]
+    eps = [sum(d <= p for d in delta) for p in range(1, 2000)]
+    got = np.rint(np.exp(sc.quotients(E)[2:])).astype(int)
+    assert E.P == 2000 and list(got) == eps
+    want = np.concatenate([[0.0, 0.0], np.cumsum(np.log(eps))])
+    assert np.max(np.abs(E.logM - want)) <= 1e-9
+
+
+@pytest.mark.parametrize("P_out", [tr.DUAL_CEILING + 1, 10**9])
+def test_dual_window_ceiling(P_out):
+    # qgevrey(2)'s counting range is 2^62: only the ceiling bounds P_out,
+    # and it refuses before anything of that size is allocated
+    Q = sc.qgevrey(2)
+
+    def call():
+        with pytest.raises(InvalidSequenceError, match="exceeds DUAL_CEILING"):
+            tr.dual(Q, P_out=P_out)
+
+    assert _traced_peak(call) < 2**20
 
 
 def test_bidual_gevrey1_head():
@@ -452,3 +556,37 @@ def test_hull_properties(logs):
     assert np.max(np.abs(again.logM - H.logM)) <= 1e-9
     assert np.allclose(H.logM, brute_hull(np.asarray(logs, dtype=float)),
                        atol=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# every pair of transforms
+# ---------------------------------------------------------------------------
+
+def _sweep_inputs():
+    P = 256
+    noisy = sc.gevrey(1.5, P=P).logM + np.random.default_rng(7).normal(0, 0.05, P + 1)
+    return ([sc.gevrey(a, P=P) for a in (0, 0.06, 0.3, 1, 2)]
+            + [sc.qgevrey(q, P=P) for q in (1.05, 2)]
+            + [sc.custom(noisy), sc.custom(sc.gevrey(2, P=P).logM),
+               markin_bound(P)])
+
+
+def test_transform_pairs_end_finite_or_refused():
+    # every ordered pair of the CLI's transforms on each input: a finite
+    # window or a WeightSeqError, never another exception or a warning
+    steps = list(cli._TRANSFORMS) + ["shift:0.5", "shift:-2"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for M in _sweep_inputs():
+            for first in steps:
+                try:
+                    A = cli._apply_transform(M, first)
+                except WeightSeqError:
+                    continue
+                assert np.all(np.isfinite(A.logM))
+                for second in steps:
+                    try:
+                        B = cli._apply_transform(A, second)
+                    except WeightSeqError:
+                        continue
+                    assert np.all(np.isfinite(B.logM)), (M.name, first, second)
