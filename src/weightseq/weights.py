@@ -719,8 +719,7 @@ def divergence_margin(N: WeightSequence, gauge: GrowthGauge, s: float,
 @dataclass(frozen=True)
 class UniformBoundResult:
     a: WeightSequence
-    j_breaks: list          # [j_1, ..., j_{K+1}]
-    ratio_indices: dict     # k -> index past which a_j^(1/j)/(n^k_j)^(1/j) >= k
+    j_breaks: list          # [j_1, ..., j_{K+1}]; a/n^(k) roots >= k past j_{k+1}
     roots_nonincreasing: bool
     roots_final: float      # a_j^(1/j) at j = P
     params: list
@@ -783,11 +782,10 @@ def uniform_bound_construct(family: SequenceFamily, K: int,
     rho = [-lm[1:] / j for lm in logms]
 
     j_breaks = [1]
-    ratio_indices = {}
     for k in range(1, K + 1):
         lnk = math.log(k)
         target = rho[k - 1][j_breaks[-1] - 1] + lnk
-        cond1 = rho[k][:] > target
+        cond1 = rho[k] > target
         # gap condition: (n^{(k+1)}_j / n^{(k)}_j)^{1/j} >= k,
         # i.e. rho_k(j) - rho_{k+1}(j) >= ln k
         gap = rho[k - 1] - rho[k]
@@ -797,13 +795,12 @@ def uniform_bound_construct(family: SequenceFamily, K: int,
         if cand.size == 0:
             raise CensoredWindowError(
                 f"uniform bound: window exhausted before finding j_{k+1} "
-                f"(stage k={k}, P={PP})", required_P=PP)
+                f"(stage k={k}, P={PP})", required_P=2 * PP)
         jk1 = int(cand[0] + 1)
         if np.any(~cond2[jk1 - 1:]):
             raise CensoredWindowError(
                 f"uniform bound: gap condition breaks beyond j_{k+1} at stage {k}")
         j_breaks.append(jk1)
-        ratio_indices[k] = jk1
     # assemble a: a_0 = 1, a_j^(1/j) piecewise constant on [j_k, j_{k+1})
     log_a = np.zeros(PP + 1)
     bounds = j_breaks + [PP + 1]
@@ -816,7 +813,7 @@ def uniform_bound_construct(family: SequenceFamily, K: int,
     a = WeightSequence("uniform-bound", log_a,
                        provenance=f"transform:uniform_bound({family.name})")
     return UniformBoundResult(
-        a=a, j_breaks=j_breaks, ratio_indices=ratio_indices,
+        a=a, j_breaks=j_breaks,
         roots_nonincreasing=bool(np.all(np.diff(roots) <= 1e-12)),
         roots_final=float(math.exp(roots[-1])),
         params=list(params))

@@ -59,10 +59,7 @@ def test_make_family_specs():
     with pytest.raises(InvalidSequenceError):
         sc.make_family("justtext")
     # malformed parameters raise InvalidSequenceError, not a bare Python error
-    for bad in ("gevrey:abc", "qgevrey:", {"type": "gevrey", "params": {}},
-                {"type": "qgevrey"}, {"type": "gevrey", "params": {"alpha": "x"}},
-                {"type": "gevrey", "params": {"alpha": None}},
-                {"type": "gevrey", "params": [0.5]}):
+    for bad in ("gevrey:abc", "qgevrey:"):
         with pytest.raises(InvalidSequenceError):
             sc.make_family(bad)
 
@@ -135,8 +132,8 @@ def test_generator_tolerance_covers_cancelling_transforms():
 @settings(max_examples=60)
 def test_quotient_roundtrip(logs):
     M = sc.custom(logs)
-    back = sc.from_quotients(sc.quotients(M), logM0=float(M.logM[0]))
-    assert np.max(np.abs(back.logM - M.logM)) <= 1e-10
+    back = sc.from_quotients(sc.quotients(M))
+    assert np.max(np.abs(back.logM + M.logM[0] - M.logM)) <= 1e-10
 
 
 @given(finite_logs, st.floats(min_value=-3, max_value=3, allow_nan=False))
@@ -397,7 +394,8 @@ def test_json_family_mismatch_rejected(tmp_path):
     # malformed family blocks: missing, non-numeric or non-finite parameter,
     # non-object family or params
     doc["logM"][3] -= 0.5
-    for family in ({"type": "gevrey", "params": {}},
+    for family in ({"type": "gevrey", "params": {}}, {"type": "qgevrey"},
+                   {"type": "gevrey", "params": {"alpha": None}},
                    {"type": "closed-form", "params": {"a": 0.5}},
                    {"type": "closed-form", "params": {"a": math.nan, "b": 0.0}},
                    {"type": "closed-form", "params": {"a": 0.5, "b": math.inf}},

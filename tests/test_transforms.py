@@ -14,7 +14,7 @@ from weightseq import seqcore as sc
 from weightseq import transforms as tr
 from weightseq.errors import (CensoredWindowError, InconclusiveTailError,
                               InvalidSequenceError, PreconditionError,
-                              WeightSeqError)
+                              UntrustedEvaluationError, WeightSeqError)
 from weightseq.weights import markin_bound
 
 finite_logs = st.lists(
@@ -293,7 +293,7 @@ def test_bidual_gevrey2_equivalence():
 
 
 def test_bidual_refusals():
-    # mu_21 = 2^41 of qgevrey(2): the inner dual would need e^28.4 entries
+    # nu_21 = 2^41 of qgevrey(2): the inner dual would need 2^41 + 2 entries
     with pytest.raises(CensoredWindowError, match="inner dual window"):
         tr.bidual(sc.qgevrey(2), P_out=20)
     # the inner dual needs nu_64 + 2 = 4098 counts, and a window-only input
@@ -320,6 +320,25 @@ def test_bidual_doubling_stops_at_the_window_cap(make, P_out):
         assert tr.WINDOW_CAP < err.value.required_P <= 2 * tr.WINDOW_CAP
 
     assert _traced_peak(call) < 16 * 2**20
+
+
+def test_bidual_refuses_past_the_window_cap_before_building():
+    # a window ending at P_out + 1 must double once, and 2 (10^6 + 1)
+    # passes WINDOW_CAP: refused without the 8 MB window
+    def call():
+        with pytest.raises(CensoredWindowError, match="stops below") as err:
+            tr.bidual(sc.gevrey(2), P_out=10**6)
+        assert err.value.required_P == 2 * (10**6 + 1)
+
+    assert _traced_peak(call) < 2**20
+
+
+def test_bidual_inner_window_past_the_ceiling_is_censored():
+    # nu_10000 = 5e7 - 0.5 puts the inner window at 50 000 001, one past
+    # DUAL_CEILING: a censored window, not an argument the caller chose
+    a = math.log(5e7 - 0.5) / math.log(1e4)
+    with pytest.raises(CensoredWindowError, match="inner dual window 50000001"):
+        tr.bidual(sc.gevrey(a), P_out=9999)
 
 
 def test_bidual_gevrey02_against_integer_counts():
@@ -565,26 +584,47 @@ def test_hull_properties(logs):
 def _sweep_inputs():
     P = 256
     noisy = sc.gevrey(1.5, P=P).logM + np.random.default_rng(7).normal(0, 0.05, P + 1)
+    # two with ln H of regularize past float range: a closed form whose
+    # mu_q/q rises up to q* = 49 950 (ln H ~ 9.8e3), and a window whose
+    # ln(mu_q/q) steps from 0 to 900 at q = 20 and then falls slowly
+    peaked = sc.ClosedForm(1000.0, -0.01)
+    p = np.arange(1, P + 1)
+    stepped = np.log(p) + np.where(p < 20, 0.0, 900.0 - 1e-6 * (p - 20))
     return ([sc.gevrey(a, P=P) for a in (0, 0.06, 0.3, 1, 2)]
             + [sc.qgevrey(q, P=P) for q in (1.05, 2)]
             + [sc.custom(noisy), sc.custom(sc.gevrey(2, P=P).logM),
-               markin_bound(P)])
+               markin_bound(P),
+               sc.WeightSequence("peaked", peaked(np.arange(P + 1)), peaked),
+               sc.custom(np.concatenate([[0.0], np.cumsum(stepped)]))])
+
+
+_SWEEP_STEPS = list(cli._TRANSFORMS) + ["shift:0.5", "shift:-2"]
+
+
+def test_required_P_names_a_window_the_input_lacks():
+    for M in _sweep_inputs():
+        for step in _SWEEP_STEPS:
+            try:
+                cli._apply_transform(M, step)
+            except (CensoredWindowError, UntrustedEvaluationError) as exc:
+                assert exc.required_P is None or exc.required_P > M.P, (M.name, step)
+            except WeightSeqError:
+                pass
 
 
 def test_transform_pairs_end_finite_or_refused():
     # every ordered pair of the CLI's transforms on each input: a finite
     # window or a WeightSeqError, never another exception or a warning
-    steps = list(cli._TRANSFORMS) + ["shift:0.5", "shift:-2"]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for M in _sweep_inputs():
-            for first in steps:
+            for first in _SWEEP_STEPS:
                 try:
                     A = cli._apply_transform(M, first)
                 except WeightSeqError:
                     continue
                 assert np.all(np.isfinite(A.logM))
-                for second in steps:
+                for second in _SWEEP_STEPS:
                     try:
                         B = cli._apply_transform(A, second)
                     except WeightSeqError:

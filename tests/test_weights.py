@@ -795,7 +795,7 @@ def test_uniform_bound_k3_succeeds_at_5000():
     for k in range(1, 4):
         n_k = sc.little_m(direct_family(5000).member([0.05, 0.08, 0.28, 0.50][k - 1]))
         ratio = roots_a - n_k.logM[1:] / j
-        assert np.all(ratio[res.ratio_indices[k] - 1:] >= math.log(k) - 1e-9)
+        assert np.all(ratio[res.j_breaks[k] - 1:] >= math.log(k) - 1e-9)
     assert abs(res.a.logM[0]) == 0.0  # a_0 = 1
 
 
