@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
+import math
 import sys
 
 import numpy as np
@@ -29,6 +31,11 @@ EXIT_HARD = 2
 # ---------------------------------------------------------------------------
 
 def _fmt(value) -> str:
+    if isinstance(value, (float, np.floating)):
+        x = float(value)
+        if x != x or x in (float("inf"), float("-inf")):
+            return json.dumps(str(x))
+        return f"{x:.17g}"
     if isinstance(value, str):
         return json.dumps(value)
     if value is None:
@@ -37,26 +44,26 @@ def _fmt(value) -> str:
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        x = float(value)
-        if x != x or x in (float("inf"), float("-inf")):
-            return json.dumps(str(x))
-        return f"{x:.17g}"
     if isinstance(value, (list, tuple, np.ndarray)):
         return "[" + ", ".join(_fmt(v) for v in value) + "]"
     if isinstance(value, dict):
         inner = ", ".join(f"{_fmt(str(k))}: {_fmt(v)}" for k, v in value.items())
         return "{" + inner + "}"
     if dataclasses.is_dataclass(value):
-        return _fmt(dataclasses.asdict(value))
+        inner = ", ".join(f"{_fmt(f.name)}: {_fmt(getattr(value, f.name))}"
+                          for f in dataclasses.fields(value))
+        return "{" + inner + "}"
     return _fmt(str(value))
 
 
 def dump_report(obj, path=None) -> str:
     text = _fmt(obj) + "\n"
     if path:
-        with open(path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InvalidSequenceError(f"cannot write report file {path}: {exc}") from exc
     return text
 
 
@@ -70,11 +77,11 @@ def _cmd_analyze(args) -> int:
               "properties": {}, "indices": {}}
     for prop in analysis.PROPERTY_NAMES:
         v = analysis.check_property(M, prop)
-        report["properties"][prop] = v.to_dict()
+        report["properties"][prop] = v
     try:
         mu = seqcore.quotients(M)
-        report["indices"]["quotients_upper"] = analysis.matuszewska(mu, "upper").to_dict()
-        report["indices"]["quotients_lower"] = analysis.matuszewska(mu, "lower").to_dict()
+        report["indices"]["quotients_upper"] = analysis.matuszewska(mu, "upper")
+        report["indices"]["quotients_lower"] = analysis.matuszewska(mu, "lower")
     except WeightSeqError as exc:
         report["indices"]["error"] = str(exc)
     text = dump_report(report, args.out)
@@ -115,6 +122,11 @@ def _cmd_transform(args) -> int:
 
 
 def _cmd_omega(args) -> int:
+    if args.points < 0:
+        raise InvalidSequenceError(f"omega: --points must be >= 0, got {args.points}")
+    for flag, t in (("--t-min", args.t_min), ("--t-max", args.t_max)):
+        if t is not None and not (math.isfinite(t) and t > 0):
+            raise InvalidSequenceError(f"omega: {flag} must be finite and > 0, got {t}")
     M = seqcore.make_family(args.sequence, P=args.P)
     aw = weights.AssociatedWeight.of(M)
     hi = args.t_max if args.t_max else aw.valid_to * 0.95
@@ -145,6 +157,7 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if all(r.passed for r in results) else EXIT_HARD
 
 
+@functools.cache  # parse_args returns a fresh Namespace on every call
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="weightseq",

@@ -97,8 +97,9 @@ class ClosedForm:
     def __call__(self, p):
         """ln M_p in float for a scalar or an array of indices."""
         p = np.asarray(p, dtype=float)
-        out = self.a * log_factorial(p) if self.a else np.zeros_like(p)
-        return out + self.b * (p * p) if self.b else out
+        with np.errstate(over="ignore"):  # an overflow is left as inf
+            out = self.a * log_factorial(p) if self.a else np.zeros_like(p)
+            return out + self.b * (p * p) if self.b else out
 
     def log_M_mp(self, p):
         """ln M_p in mpmath, for indices far beyond float resolution."""
@@ -411,7 +412,8 @@ def _factorial_image(M: WeightSequence, s: float, sign: float, name: str,
     """s ln p! + sign ln M_p (sign = +-1), a ClosedForm (a, b) mapped to
     (s + sign a, sign b) and any other generator dropped.  Multiplying by
     +-1.0 is exact and x - y is x + (-y): each caller keeps its bits."""
-    logM = s * log_factorials(M.P) + sign * M.logM
+    with np.errstate(over="ignore"):  # an overflow is left as inf
+        logM = s * log_factorials(M.P) + sign * M.logM
     form = M.generator
     form = (ClosedForm(s + sign * form.a, sign * form.b)
             if isinstance(form, ClosedForm) else None)
@@ -499,15 +501,18 @@ def _family_block(M: WeightSequence):
 
 
 def save_sequence(M: WeightSequence, path) -> None:
-    doc = {
-        "name": M.name,
-        "P": M.P,
-        "family": _family_block(M),
-        "logM": [float(x) for x in M.logM],
-        "provenance": M.provenance,
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
+    """Write M as the bytes json.dump(doc, indent=1) gives, in one write
+    (json formats a finite float with its repr)."""
+    head = json.dumps({"name": M.name, "P": M.P, "family": _family_block(M)},
+                      indent=1)
+    logM = ",\n  ".join(map(repr, M.logM.tolist()))
+    text = (f'{head[:-2]},\n "logM": [\n  {logM}\n ],\n'
+            f' "provenance": {json.dumps(M.provenance)}\n}}')
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InvalidSequenceError(f"cannot write sequence file {path}: {exc}") from exc
 
 
 def load_sequence(path) -> WeightSequence:

@@ -272,21 +272,19 @@ def log_convex_minorant(M: WeightSequence) -> WeightSequence:
     Monotone-chain construction; collinear points are harmless.  The output
     is pointwise <= M, log-convex, and equals M wherever M already is.
     """
-    y = M.logM
-    n = y.size
+    y = M.logM.tolist()  # Python floats: the same bits as numpy scalars, faster
     hull = []  # indices of lower-hull vertices
-    for i in range(n):
+    for i, yi in enumerate(y):
         while len(hull) >= 2:
             i0, i1 = hull[-2], hull[-1]
             # pop i1 if it lies on or above the chord i0 -> i
-            if (y[i1] - y[i0]) * (i - i0) >= (y[i] - y[i0]) * (i1 - i0):
+            if (y[i1] - y[i0]) * (i - i0) >= (yi - y[i0]) * (i1 - i0):
                 hull.pop()
             else:
                 break
         hull.append(i)
-    hx = np.array(hull, dtype=float)
-    hy = y[hull]
-    out = np.interp(np.arange(n, dtype=float), hx, hy)
-    out = np.minimum(out, y)  # guard interpolation round-off
+    out = np.interp(np.arange(len(y), dtype=float), np.array(hull, dtype=float),
+                    M.logM[hull])
+    out = np.minimum(out, M.logM)  # guard interpolation round-off
     return WeightSequence(f"lcm[{M.name}]", out,
                           provenance=f"transform:log_convex_minorant({M.provenance})")

@@ -387,11 +387,14 @@ class AssociatedWeight:
         """Write the table to a CSV file (floats at 17 significant digits)
         and return its rows."""
         rows = self.table(t_grid)
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(("t", "omega", "argmax", "trusted"))
-            for r in rows:
-                w.writerow((f"{r[0]:.17g}", f"{r[1]:.17g}", r[2], r[3]))
+        try:
+            with open(path, "w", newline="") as fh:
+                w = csv.writer(fh)
+                w.writerow(("t", "omega", "argmax", "trusted"))
+                for r in rows:
+                    w.writerow((f"{r[0]:.17g}", f"{r[1]:.17g}", r[2], r[3]))
+        except OSError as exc:
+            raise InvalidSequenceError(f"cannot write CSV file {path}: {exc}") from exc
         return rows
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import re
 from pathlib import Path
 
@@ -191,3 +192,100 @@ def test_json_float_format():
     text = cli.dump_report({"x": 1.0 / 3.0, "flag": True, "n": 3})
     assert "0.33333333333333331" in text
     assert '"flag": true' in text
+
+
+# ---------------------------------------------------------------------------
+# sequence files: the indent-1 layout with floats in shortest repr
+# ---------------------------------------------------------------------------
+
+def _custom_file(path):
+    logM = [0.9 * math.lgamma(p + 1) + 0.02 * ((7919 * p) % 13) / 13
+            for p in range(513)]
+    doc = {"name": "custom-é\"q", "P": 512,
+           "family": {"type": "custom", "params": {}},
+           "logM": logM, "provenance": "custom"}
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    return f"file:{path}"
+
+
+# md5 of the files json.dump(doc, indent=1) wrote; save_sequence must keep
+# these bytes
+@pytest.mark.parametrize("args,md5", [
+    ("gevrey:0.6 --P 2048", "b74f7557f7b6ccc66341c04131d937f5"),
+    ("qgevrey:1.7 conjugate m --P 512", "277ad6ec30a0e5b0eaceba2e8b5f65de"),
+    ("gevrey:1.5 dual --P 512", "b6358f25ee1fd955144cbc9a8941ee1b"),
+    ("custom lcm", "a3157a74178ab856eddb2f9807bffa61"),
+    ("custom lcm shift:0.5", "29f7583958d2c652cbee022cdde1742d"),
+])
+def test_sequence_files_pinned(tmp_path, args, md5):
+    args = args.split()
+    if args[0] == "custom":
+        args[0] = _custom_file(tmp_path / "in.json")
+    out = tmp_path / "out.json"
+    assert run(["transform", *args, "--out", str(out)]) == 0
+    assert hashlib.md5(out.read_bytes()).hexdigest() == md5
+
+
+@pytest.mark.parametrize("args,what", [
+    (["transform", "gevrey:0.5", "conjugate"], "sequence"),
+    (["analyze", "gevrey:0.5"], "report"),
+    (["omega", "gevrey:0.5"], "CSV"),
+])
+def test_unwritable_output_is_an_error_line(tmp_path, capsys, args, what):
+    out = tmp_path / "missing" / "out"
+    assert run([*args, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: cannot write {what} file {out}: ")
+
+
+@pytest.mark.parametrize("flags,msg", [
+    (["--points", "-3"], "--points must be >= 0, got -3"),
+    (["--t-max", "-1"], "--t-max must be finite and > 0, got -1.0"),
+    (["--t-min", "inf"], "--t-min must be finite and > 0, got inf"),
+    (["--t-min", "0"], "--t-min must be finite and > 0, got 0.0"),
+])
+def test_omega_refuses_bad_grid_arguments(tmp_path, capsys, flags, msg):
+    out = tmp_path / "omega.csv"
+    assert run(["omega", "gevrey:0.5", *flags, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: omega: {msg}\n"
+    assert not out.exists()
+
+
+def test_omega_zero_points_is_an_empty_table(tmp_path):
+    out = tmp_path / "omega.csv"
+    assert run(["omega", "gevrey:0.5", "--points", "0", "--out", str(out)]) == 0
+    assert out.read_bytes() == b"t,omega,argmax,trusted\r\n"
+
+
+@pytest.mark.parametrize("args", [["analyze", "gevrey:1e308"],
+                                  ["transform", "gevrey:0.5", "shift:1e308"]])
+def test_overflowing_window_is_refused_without_a_warning(capsys, args):
+    # tier-1 turns warnings into errors, so an overflow warning fails here
+    assert run(args) == 1
+    assert capsys.readouterr().err == "error: non-finite logM entry at p=4\n"
+
+
+def test_reused_parser_matches_fresh_parsers(tmp_path, capsys):
+    out = tmp_path / "out.json"
+    calls = [["transform", "gevrey:0.5", "conjugate", "--P", "1024", "--out", str(out)],
+             ["transform", "gevrey:0.5", "--bogus"],
+             ["--help"],
+             ["analyze", "gevrey:0.5", "--out", str(out)]]
+
+    def outcome(argv):
+        code = run(argv)
+        return code, capsys.readouterr(), out.read_bytes() if out.exists() else None
+
+    fresh = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        fresh.append(outcome(argv))
+        out.unlink(missing_ok=True)
+    cli.build_parser.cache_clear()
+    reused = []
+    for argv in calls:
+        reused.append(outcome(argv))
+        out.unlink(missing_ok=True)
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [0, 1, 0, 0]
+    assert json.loads(reused[3][2])["P"] == 512

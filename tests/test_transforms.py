@@ -577,6 +577,51 @@ def test_hull_properties(logs):
                        atol=1e-8)
 
 
+def numpy_scalar_hull(M):
+    """Oracle: the monotone chain with its arithmetic on numpy float64
+    scalars, as log_convex_minorant computed it before it ran on Python
+    floats."""
+    y = M.logM
+    n = y.size
+    hull = []
+    for i in range(n):
+        while len(hull) >= 2:
+            i0, i1 = hull[-2], hull[-1]
+            if (y[i1] - y[i0]) * (i - i0) >= (y[i] - y[i0]) * (i1 - i0):
+                hull.pop()
+            else:
+                break
+        hull.append(i)
+    out = np.interp(np.arange(n, dtype=float), np.array(hull, dtype=float), y[hull])
+    return np.minimum(out, y)
+
+
+def _hull_input(kind, P, seed):
+    rng = np.random.default_rng(seed)
+    p = np.arange(P + 1, dtype=float)
+    if kind == "collinear":  # exact dyadic lines: every chord test is a tie
+        y = rng.integers(-3, 4) * 0.25 * p
+        y[rng.integers(1, P, size=4)] += 0.5
+    elif kind == "segments":  # convex, piecewise linear in rounded floats:
+        # chord tests on a segment are ties up to the last bit
+        y = np.cumsum(np.sort(rng.uniform(-2.0, 2.0, size=P + 1)).round(1))
+    elif kind == "ties":  # few distinct values: equal neighbours everywhere
+        y = rng.integers(0, 4, size=P + 1) * 0.5
+    elif kind == "convex":
+        y = rng.uniform(0.1, 2.0) * sc.log_factorial(p) + rng.uniform(-1e-3, 1e-3) * p * p
+    else:  # a noisy convex sequence, as read from a file
+        y = rng.uniform(0.1, 2.0) * sc.log_factorial(p) + rng.normal(0.0, 0.05, P + 1)
+    return sc.custom(y, name=kind)
+
+
+@given(st.sampled_from(["collinear", "segments", "ties", "convex", "noisy"]),
+       st.integers(8, 3000), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_hull_bits_match_the_numpy_scalar_loop(kind, P, seed):
+    M = _hull_input(kind, P, seed)
+    assert tr.log_convex_minorant(M).logM.tobytes() == numpy_scalar_hull(M).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # every pair of transforms
 # ---------------------------------------------------------------------------
