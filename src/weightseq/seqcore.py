@@ -32,6 +32,9 @@ from scipy.special import gammaln
 from .errors import InvalidSequenceError
 
 DEFAULT_P = 512
+# ceiling for any materialised window (entries, not values): a family's or
+# an extension's P, an explicit dual P_out, bidual's inner dual
+DUAL_CEILING = 50_000_000
 
 # generator must reproduce stored logM to this relative slack
 GENERATOR_MATCH_RTOL = 1e-12
@@ -101,17 +104,26 @@ class ClosedForm:
             out = self.a * log_factorial(p) if self.a else np.zeros_like(p)
             return out + self.b * (p * p) if self.b else out
 
+    @functools.cached_property
+    def _ab_mp(self):
+        """(a, b) as mpf, built at 53 bits so that both are the floats exactly."""
+        import mpmath as mp
+        with mp.workprec(53):
+            return mp.mpf(self.a), mp.mpf(self.b)
+
     def log_M_mp(self, p):
         """ln M_p in mpmath, for indices far beyond float resolution."""
         import mpmath as mp
-        out = mp.mpf(self.a) * mp.loggamma(p + 1) if self.a else mp.mpf(0)
-        return out + mp.mpf(self.b) * p * p if self.b else out
+        a, b = self._ab_mp
+        out = a * mp.loggamma(p + 1) if self.a else mp.mpf(0)
+        return out + b * p * p if self.b else out
 
     def log_mu_mp(self, p):
         """ln mu_p in mpmath (p >= 1)."""
         import mpmath as mp
-        out = mp.mpf(self.a) * mp.log(p) if self.a else mp.mpf(0)
-        return out + mp.mpf(self.b) * (2 * p - 1) if self.b else out
+        a, b = self._ab_mp
+        out = a * mp.log(p) if self.a else mp.mpf(0)
+        return out + b * (2 * p - 1) if self.b else out
 
     def inverse_mu_mp(self, log_t):
         """Largest p with ln mu_p <= log_t, in mpmath, or None.
@@ -126,13 +138,13 @@ class ClosedForm:
         precision, and for a < 0 no integer may lie between the roots.
         """
         import mpmath as mp
+        a, b = self._ab_mp
         if self.b == 0 and self.a > 0:
-            return mp.floor(mp.exp(log_t / mp.mpf(self.a)))
+            return mp.floor(mp.exp(log_t / a))
         if self.a == 0 and self.b > 0:
-            return mp.floor((log_t / mp.mpf(self.b) + 1) / 2)
+            return mp.floor((log_t / b + 1) / 2)
         if not self.b > 0:
             return None
-        a, b = mp.mpf(self.a), mp.mpf(self.b)
         z = 2 * b / a * mp.exp((log_t + b) / a)
         if z < -1 / mp.e:
             return mp.mpf(0)
@@ -343,13 +355,13 @@ def _integer(value, what: str, lo: int) -> int:
     return int(value)
 
 
-def _window_length(value, what: str) -> int:
-    """_integer(value, what, 0) for a window length P whose P + 1 float
-    entries numpy can index; a longer one is refused before it allocates."""
-    P = _integer(value, what, 0)
-    if (P + 1) * 8 > np.iinfo(np.intp).max:
-        raise InvalidSequenceError(f"{what} = {P} is past the largest array "
-                                   "numpy can index")
+def _window_length(value, what: str, lo: int = 0) -> int:
+    """_integer(value, what, lo) for a window length P up to DUAL_CEILING; a
+    longer one is refused before anything is allocated."""
+    P = _integer(value, what, lo)
+    if P > DUAL_CEILING:
+        raise InvalidSequenceError(f"{what} = {P} exceeds DUAL_CEILING = "
+                                   f"{DUAL_CEILING}")
     return P
 
 

@@ -22,16 +22,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (CensoredWindowError, InconclusiveTailError,
-                     InvalidSequenceError, PreconditionError)
-from .seqcore import (ClosedForm, WeightSequence, _factorial_image, _integer,
-                      _window_length, from_quotients, in_lc_window,
-                      is_log_convex, quotients)
+                     PreconditionError)
+from .seqcore import (DUAL_CEILING, ClosedForm, WeightSequence,
+                      _factorial_image, _integer, _window_length,
+                      from_quotients, in_lc_window, is_log_convex, quotients)
 
-# ceiling for a materialised window (entries, not values): dual's default
-# window and regularize_almost_decreasing's extension to a closed form's peak
+# ceiling for a window a transform chooses itself (entries, not values):
+# dual's default window and regularize_almost_decreasing's extension to a
+# closed form's peak
 WINDOW_CAP = 200_000
-# ceiling for any dual's window: an explicit P_out, bidual's inner dual
-DUAL_CEILING = 50_000_000
 
 
 def conjugate(M: WeightSequence) -> WeightSequence:
@@ -52,22 +51,53 @@ def _counted_logs(values: np.ndarray, P_out: int) -> np.ndarray:
     the non-decreasing values v_1, v_2, ...  Ties are counted inclusively.
     Quotients that are integers in exact arithmetic (Gevrey order 1, dual
     sequences) come back from the log domain with last-bit noise, so v
-    counts at p when v <= p*(1 + 1e-9); an infinite value counts nowhere.
+    counts at p when v <= fl(p*(1 + 1e-9)); an infinite value counts nowhere.
+
+    The count runs in the direction of the shorter array; on non-decreasing
+    values (the precondition) both branches give the same bits.  Fewer
+    values than active p: each value v is placed at the first p with
+    fl(p*(1 + 1e-9)) >= v (ceil(v), or one below it where that same product
+    reaches v), and ln kappa is written as runs between the sorted places,
+    one log per distinct count; this count is exact in any order of the
+    values.  More values than active p: each threshold is binary-searched
+    into the values.  The placing branch holds one array of P_out entries,
+    the result; the searching branch two at once (bidual's inner count runs
+    to 4e6 entries, 32 MB each); both hold arrays as long as the values
+    besides.
     """
-    # the active p >= values[0] are a suffix; kappa is formed in place, since
-    # bidual's two counts run to 4e6 entries, 32 MB per temporary
-    ps = np.arange(1, P_out, dtype=float)  # p = 1..P_out-1 feeds kappa_{p+1}
-    first = int(np.searchsorted(ps, values[0]))
-    thresholds = ps[first:]
-    thresholds *= 1.0 + 1e-9
-    counts = np.searchsorted(values, thresholds, side="right")
-    del ps, thresholds
-    np.maximum(counts, 1, out=counts)
-    counts = counts.astype(float)
-    np.log(counts, out=counts)
-    logK = np.zeros(P_out + 1)
-    logK[2 + first:] = counts
-    del counts
+    widen = 1.0 + 1e-9
+    # the active p >= values[0] are the suffix p = first+1..P_out-1, which
+    # feeds kappa_{p+1}: first counts the p = 1..P_out-1 below values[0]
+    v0 = values[0]
+    first = P_out - 1 if v0 >= P_out else max(math.ceil(v0) - 1, 0)
+    if values.size < P_out - 1 - first:
+        # c = ceil(v) reaches v, as fl(c(1 + 1e-9)) >= c >= v; c - 2 does
+        # not, as c <= P_out <= DUAL_CEILING gives (c - 2)(1 + 1e-9) < c - 1
+        # < v.  So the first p reaching v is c or c - 1, and P_out, past
+        # every p, for a v past the last threshold or inf.
+        p = np.ceil(np.minimum(values, P_out))
+        p -= (p - 1.0) * widen >= values
+        # kappa_{p+1} = max(j, 1) from the j-th place on, until the next;
+        # a place below the active p is raised to the first of them, and
+        # kappa_0..kappa_{first+1} = 1 lie in the run of j = 0.  Sorting
+        # the places counts the last-bit descents that log-convexity within
+        # structure_tol lets through exactly.
+        places = np.maximum(p.astype(np.intp) + 1, first + 2)
+        places.sort()
+        runs = np.diff(places, prepend=0, append=P_out + 1)
+        logK = np.repeat(np.log(np.maximum(np.arange(values.size + 1), 1.0)),
+                         runs)
+    else:
+        thresholds = np.arange(first + 1, P_out, dtype=float)
+        thresholds *= widen
+        counts = np.searchsorted(values, thresholds, side="right")
+        del thresholds
+        np.maximum(counts, 1, out=counts)
+        counts = counts.astype(float)
+        np.log(counts, out=counts)
+        logK = np.zeros(P_out + 1)
+        logK[2 + first:] = counts
+        del counts
     np.cumsum(logK[1:], out=logK[1:])
     return logK
 
@@ -102,11 +132,7 @@ def dual(N: WeightSequence, P_out: int | None = None) -> WeightSequence:
             raise CensoredWindowError(
                 f"dual: counting range of {N.name} supports only p <= {P_out}; "
                 "enlarge the input window", required_P=2 * N.P)
-    P_out = _integer(P_out, "dual: window length P_out", 8)
-    if P_out > DUAL_CEILING:
-        raise InvalidSequenceError(
-            f"dual: window length P_out = {P_out} exceeds DUAL_CEILING = "
-            f"{DUAL_CEILING}")
+    P_out = _window_length(P_out, "dual: window length P_out", 8)
     if P_out > hard_cap:
         raise CensoredWindowError(
             f"dual: requested window {P_out} exceeds counting range "

@@ -191,7 +191,9 @@ def _sorted_omega(M: WeightSequence, logt: float) -> Optional[OmegaValue]:
     best = float(k * logt - logM[k])
     tol = 1e-12 * max(1.0, abs(best))
     trusted = bool(P * logt - logM[P] < best - tol)
-    return OmegaValue(max(best, 0.0), k if best > 0.0 else 0, trusted)
+    if best > 0.0:
+        return OmegaValue(best, k, trusted)
+    return OmegaValue(0.0, 0, trusted)  # +0, where best may be -0.0
 
 
 def _omega_eta(M: WeightSequence, logt):
@@ -225,7 +227,7 @@ def _omega_grid(M: WeightSequence, ts) -> tuple:
                  & ((k == P) | (logmu[np.minimum(k, P - 1)] - logt > eta)))
         best = k * logt - logM[k]
         tol = 1e-12 * np.maximum(1.0, np.abs(best))
-        value[:] = np.maximum(best, 0.0)
+        value[:] = np.where(best > 0.0, best, 0.0)
         argmax[:] = np.where(best > 0.0, k, 0)
         trusted[:] = P * logt - logM[P] < best - tol
         todo = np.flatnonzero(~clear)
@@ -245,7 +247,7 @@ def _window_omega(logM: np.ndarray, t: float) -> OmegaValue:
     best = float(terms.max())
     tol = 1e-12 * max(1.0, abs(best))
     arg_last = int(np.flatnonzero(terms >= best - tol)[-1])
-    value = max(best, 0.0)
+    value = best if best > 0.0 else 0.0
     argmax = int(np.argmax(terms)) if best > 0.0 else 0
     return OmegaValue(value, argmax, arg_last < P)
 
@@ -283,7 +285,9 @@ def _step_term(form: ClosedForm, logt, p_star):
     """
     import mpmath as mp
 
-    for q in (p_star + 1, p_star, p_star - 1):
+    # past the working precision p_star +- 1 round to p_star: each distinct
+    # candidate is tried once
+    for q in dict.fromkeys((p_star + 1, p_star, p_star - 1)):
         if q >= 1 and (log_mu := form.log_mu_mp(q)) <= logt:
             if log_mu == logt:  # terms q and q - 1 are equal
                 q -= 1
@@ -329,7 +333,7 @@ def _omega_step(M: WeightSequence, log_t):
     if (form.b < 0 or form.b == 0 > form.a) and log_t > -math.inf:
         raise PreconditionError(f"omega_mp: quotients of {M.name} fall "
                                 "past the window, so omega is infinite")
-    if form.log_mu_mp(1) > log_t:
+    if form.b > log_t:  # ln mu_1 = a ln 1 + b = b exactly
         return mp.mpf(0), 0
     if form.a == 0 and form.b == 0:  # every ln mu_p is 0 <= ln t
         raise UntrustedEvaluationError(
@@ -340,7 +344,7 @@ def _omega_step(M: WeightSequence, log_t):
     with mp.workdps(dps) if mp.mp.dps < dps else contextlib.nullcontext():
         logt = mp.mpf(log_t)
         for k in range(OMEGA_MP_STEP_DOWNS + 1):
-            p_hat = form.inverse_mu_mp(logt * (1 - k * mp.eps))
+            p_hat = form.inverse_mu_mp(logt * (1 - k * mp.eps) if k else logt)
             best = _step_term(form, logt, p_hat)
             if best is not None:
                 return best

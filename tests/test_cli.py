@@ -265,6 +265,24 @@ def test_overflowing_window_is_refused_without_a_warning(capsys, args):
     assert capsys.readouterr().err == "error: non-finite logM entry at p=4\n"
 
 
+def test_omega_writes_positive_zero(tmp_path):
+    out = tmp_path / "o.csv"
+    assert run(["omega", "gevrey:0.5", "--t-min", "1e-300", "--points", "2",
+                "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[1] == "9.9999999999999995e-07,0,0,True"
+
+
+@pytest.mark.parametrize("args, family", [
+    (["transform", "gevrey:0.5"], "gevrey"), (["analyze", "qgevrey:2"], "qgevrey"),
+    (["omega", "gevrey:0.5"], "gevrey")], ids=["transform", "analyze", "omega"])
+def test_window_past_the_ceiling_is_an_error_line(capsys, args, family):
+    # refused before numpy is asked for the 745 GiB of P = 10^11
+    assert run(args + ["--P", "100000000000"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {family}: window length P = 100000000000 exceeds "
+        f"DUAL_CEILING = {sc.DUAL_CEILING}\n")
+
+
 def test_reused_parser_matches_fresh_parsers(tmp_path, capsys):
     out = tmp_path / "out.json"
     calls = [["transform", "gevrey:0.5", "conjugate", "--P", "1024", "--out", str(out)],

@@ -13,12 +13,17 @@ Floats are pinned via float.hex(), mpf values as 50-digit strings at
 50-digit working precision.
 """
 
+import hashlib
+import math
+
 import mpmath as mp
 import pytest
 
 from weightseq import gevrey, markin_bound
-from weightseq.operator_lab import build_counterexample
-from weightseq.weights import _member_bound_record, build_gauge, omega_mp
+from weightseq.operator_lab import (MP_DPS, RING_ORDERS, T_WEIGHTED,
+                                    build_counterexample, ring_demonstration)
+from weightseq.weights import (_member_bound_record, _omega_step, build_gauge,
+                               omega_mp)
 
 from _omega_oracle import _omega_mp_bisect
 
@@ -117,3 +122,20 @@ def test_counterexample_thresholds_pinned(gauge):
                                     log_g_floor=11.0, log_g_slope=0.05)
     assert [float(v).hex() for v in model.logk] == LOGK_FLOOR
     assert not model.integral_k.any()
+
+
+def test_ring_weights_pinned():
+    # criterion 9's 2160 weights: every (term, p) of omega_mp's step search
+    # at ln t + ln lambda_i, members outer, T_WEIGHTED, then the 120 lambdas
+    loglam = ring_demonstration(120).model.loglam
+    lines = []
+    with mp.workdps(MP_DPS):
+        for alpha in RING_ORDERS:
+            M = gevrey(alpha)
+            for t in T_WEIGHTED:
+                for v in loglam:
+                    term, p = _omega_step(M, math.log(t) + float(v))
+                    lines.append(f"{term!r} {mp.nstr(p, 60)}")
+    assert len(lines) == 2160
+    digest = hashlib.md5("\n".join(lines).encode()).hexdigest()
+    assert digest == "8d13f465607bc1f2fdc0f64ddb07afae"

@@ -464,6 +464,13 @@ def test_json_non_numeric_window_rejected(tmp_path, doc):
     lambda: sc.gevrey(0.5, P=256).extended(2**63 // 8),
     lambda: tr.bidual(sc.gevrey(0.5, P=256), P_out=2**70),
     lambda: sc.qgevrey(2, P=2**62),
+    # and so are windows past DUAL_CEILING
+    lambda: sc.gevrey(0.5, P=10**11),
+    lambda: sc.make_family("gevrey:0.5", P=10**11),
+    lambda: sc.gevrey(0.5, P=64).extended(tr.DUAL_CEILING + 1),
+    lambda: sc.log_factorials(10**11),
+    lambda: wt.markin_bound(10**11),
+    lambda: tr.bidual(sc.gevrey(2, P=64), P_out=10**11),
     lambda: ex.cauchy_restriction_bound(
         ex.CoefficientFunction.reciprocal(sc.gevrey(1, P=32)),
         tr.conjugate(sc.gevrey(0.5, P=64)), A=2.0, k=2.0, x=0.3, n=2.5),
@@ -486,7 +493,10 @@ def test_json_non_numeric_window_rejected(tmp_path, doc):
         "scaling-beta-minus-inf", "scaling-beta-string", "markin-P-fraction",
         "markin-P-nan", "markin-P-huge-float", "markin-P-past-intp",
         "extended-past-intp", "extended-at-intp-bytes", "bidual-P-past-intp",
-        "qgevrey-P-past-intp", "cauchy-n-fraction", "counterexample-n-fraction",
+        "qgevrey-P-past-intp", "gevrey-P-past-ceiling",
+        "make-family-P-past-ceiling", "extended-past-ceiling",
+        "log-factorials-past-ceiling", "markin-P-past-ceiling",
+        "bidual-P-past-ceiling", "cauchy-n-fraction", "counterexample-n-fraction",
         "derivative-n-fraction", "member-P-fraction", "uniform-bound-P-fraction",
         "uniform-bound-K-fraction"])
 def test_invalid_arguments_rejected(call):

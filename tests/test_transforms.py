@@ -214,6 +214,10 @@ def test_counted_logs_threshold_edge():
     # kappa_{p+1} counts the values <= p(1 + 1e-9)
     assert list(_kappa(np.array([1.0, 2.0, edge, 9.0]), 12)[5:8]) == [2, 3, 3]
     assert list(_kappa(np.array([1.0, 2.0, above, 9.0]), 12)[5:8]) == [2, 2, 3]
+    # the last threshold, p = P_out - 1 = 11, with few values (placed)
+    last = 11 * (1.0 + 1e-9)
+    assert _kappa(np.array([1.0, 2.0, last]), 12)[-1] == 3
+    assert _kappa(np.array([1.0, 2.0, np.nextafter(last, np.inf)]), 12)[-1] == 2
 
 
 def test_counted_logs_exact_first_value_and_infinities():
@@ -227,6 +231,106 @@ def test_counted_logs_exact_first_value_and_infinities():
                           np.zeros(11))
 
 
+def _counted_logs_searched(values, P_out):
+    """_counted_logs as it was before it placed few values among many
+    thresholds: every active threshold p(1 + 1e-9) is binary-searched into
+    the values.  The oracle, bit for bit."""
+    ps = np.arange(1, P_out, dtype=float)
+    first = int(np.searchsorted(ps, values[0]))
+    thresholds = ps[first:]
+    thresholds *= 1.0 + 1e-9
+    counts = np.searchsorted(values, thresholds, side="right")
+    np.maximum(counts, 1, out=counts)
+    counts = np.log(counts.astype(float))
+    logK = np.zeros(P_out + 1)
+    logK[2 + first:] = counts
+    np.cumsum(logK[1:], out=logK[1:])
+    return logK
+
+
+def _counted_values(P_out):
+    """One value: a threshold fl(p(1 + 1e-9)), one ulp either side of it, an
+    integer, a real below, inside or past the window, or inf."""
+    p = st.integers(0, P_out + 2)
+    edge = p.map(lambda k: k * (1.0 + 1e-9))
+    return st.one_of(edge, edge.map(lambda x: float(np.nextafter(x, np.inf))),
+                     edge.map(lambda x: float(np.nextafter(x, -np.inf))),
+                     p.map(float), st.floats(0.0, 1.0),
+                     st.floats(0.0, P_out + 2.0), st.just(math.inf))
+
+
+@st.composite
+def _counted_inputs(draw):
+    """(values, P_out) on either branch: len(values) around P_out - 1, far
+    below it, or past it; values[0] anywhere, down to 0 or past the window;
+    ties come from repeated draws and from raising values to values[0]."""
+    P_out = draw(st.integers(8, 40))
+    n = draw(st.one_of(st.sampled_from([P_out - 2, P_out - 1, P_out]),
+                       st.integers(1, P_out), st.integers(P_out, 2 * P_out)))
+    values = draw(st.lists(_counted_values(P_out), min_size=n, max_size=n))
+    lo = draw(st.one_of(st.just(0.0), _counted_values(P_out)))
+    return np.sort(np.maximum(values, lo)), P_out
+
+
+@given(_counted_inputs())
+@settings(max_examples=250, deadline=None)
+def test_counted_logs_match_the_searched_count(inputs):
+    values, P_out = inputs
+    got = tr._counted_logs(values, P_out)
+    assert np.array_equal(got, _counted_logs_searched(values, P_out))
+    # and the integer count itself: kappa_{p+1} = max(#{v_j <= fl(p C)}, 1)
+    # for p >= values[0], 1 below it
+    p = np.arange(1, P_out)
+    want = np.where(p >= values[0], np.maximum(
+        (values[None, :] <= (p * (1.0 + 1e-9))[:, None]).sum(axis=1), 1), 1)
+    assert np.array_equal(_kappa(values, P_out)[2:], want)
+
+
+def test_counted_logs_counts_last_bit_descents_exactly():
+    # log-convexity within structure_tol lets a quotient fall by an ulp:
+    # here nu_3 > 7(1 + 1e-9) >= nu_4, and kappa_8 counts nu_1, nu_2, nu_4
+    edge = 7 * (1.0 + 1e-9)
+    values = np.array([1.0, 2.0, np.nextafter(edge, np.inf), edge, 20.0])
+    assert list(_kappa(values, 24)[6:10]) == [2, 2, 3, 4]
+    N = sc.custom([0.0, 0.0, 0.6931471805599453, 2.6390573306152594,
+                   4.5849674806705725, 7.580699754224563, 10.981897135886719,
+                   14.670776590000655, 18.5827995954288, 22.6771441576509])
+    assert sc.in_lc_window(N)
+    nu = np.exp(np.diff(N.logM))
+    assert nu[2] > edge >= nu[3]
+    delta = np.rint(np.exp(sc.quotients(tr.dual(N, P_out=40)))).astype(int)
+    assert list(delta[6:10]) == [2, 2, 3, 4]
+
+
+@pytest.mark.parametrize("P_out", [10**6, 4004002])
+def test_counted_logs_places_edges_of_large_thresholds(P_out):
+    # thresholds near P_out, where one ulp of v is 1e-10 of it: both
+    # branches, against the searched count
+    rng = np.random.default_rng(P_out)
+    p = np.sort(rng.integers(1, P_out + 3, 3000)).astype(float)
+    edge = p * (1.0 + 1e-9)
+    values = np.sort(np.concatenate([edge, np.nextafter(edge, np.inf),
+                                     np.nextafter(edge, -np.inf), p]))
+    assert np.array_equal(tr._counted_logs(values, P_out),
+                          _counted_logs_searched(values, P_out))
+    assert np.array_equal(tr._counted_logs(values, 2000),
+                          _counted_logs_searched(values, 2000))
+
+
+@pytest.mark.parametrize("make, P_out, digest", [
+    # criterion 4's two duals and criterion 3's inner dual
+    (lambda: sc.gevrey(2, P=10**4), 10**6, "7eeac5e67da03930a462a8eccec228a4"),
+    (lambda: sc.gevrey(3, P=10**4), 10**6, "f2e4166aa5d1576b0f791a65b47945e0"),
+    (lambda: sc.gevrey(2, P=128).extended(2048), 4004002,
+     "bb2eeee66919687d26878ebc426d1140"),
+    (lambda: sc.gevrey(1.5, P=2048), None, "7e6f4a6016cfbd71f8b0892b35fc1f93"),
+], ids=["gevrey2-1e6", "gevrey3-1e6", "gevrey2-4004002", "gevrey1.5"])
+def test_dual_bytes_pinned(make, P_out, digest):
+    # recorded when every threshold was binary-searched into the quotients
+    D = tr.dual(make(), P_out=P_out)
+    assert hashlib.md5(D.logM.tobytes()).hexdigest() == digest
+
+
 def _traced_peak(fn):
     tracemalloc.start()
     try:
@@ -237,9 +341,10 @@ def _traced_peak(fn):
 
 
 def test_counted_logs_memory():
-    # no copy of the values; the counts are formed in place
+    # no copy of the values; few values are placed, and the result is the
+    # one array of P_out entries
     few = np.arange(1.0, 4003.0)
-    assert _traced_peak(lambda: tr._counted_logs(few, 10**6)) <= 17 * 10**6
+    assert _traced_peak(lambda: tr._counted_logs(few, 10**6)) <= 9 * 10**6
     many = np.linspace(1.0, 3000.0, 10**6)
     assert _traced_peak(lambda: tr._counted_logs(many, 2000)) <= 10**6
 

@@ -109,6 +109,13 @@ def test_omega_zero_region_and_zero_arg():
     mu1 = float(np.exp(sc.quotients(M)[1]))
     for t in np.linspace(0, mu1, 7):
         assert wt.omega(M, float(t)).value == 0.0
+    # below t = 1 the p = 0 term is 0 ln t - ln M_0 = -0.0; omega reads +0
+    ts = [1e-300, 1e-6, 0.5]
+    for t in ts:
+        for res in (wt.omega(M, t), wt._window_omega(M.logM, t),
+                    wt._sorted_omega(M, math.log(t))):
+            assert res.value == 0.0 and not np.signbit(res.value)
+    assert not np.signbit(wt._omega_grid(M, ts)[0]).any()
 
 
 def test_omega_untrusted_flat_sequence():
