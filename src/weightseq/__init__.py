@@ -17,7 +17,6 @@ from .seqcore import (DEFAULT_P, ClosedForm, SequenceFamily, WeightSequence,
 from .transforms import (bidual, conjugate, dual, log_convex_minorant,
                          normalize_head, regularize_almost_decreasing)
 from .weights import (AssociatedWeight, GrowthGauge, build_gauge, counting,
-                      counting_scaling_residual, divergence_margin,
                       integral_representation_residual, markin_bound, omega,
                       omega_extended, uniform_bound_construct, valid_to)
 from .analysis import (IndexEstimate, Verdict, check_property,

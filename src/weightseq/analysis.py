@@ -12,7 +12,7 @@ margin, or exact structure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -40,9 +40,6 @@ class Verdict:
     def fails(self) -> bool:
         return self.status == "fails"
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class IndexEstimate:
@@ -56,9 +53,6 @@ class IndexEstimate:
     @property
     def value(self) -> float:
         return self.hi if self.side == "upper" else self.lo
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -478,8 +472,9 @@ def matuszewska(a, side: str = "upper", p0: int = 8) -> IndexEstimate:
     window doubles.
     """
     loga = _float_array(a, "matuszewska input")
-    if loga.ndim != 1:
-        raise InvalidSequenceError("matuszewska: input must be one-dimensional")
+    if side not in ("upper", "lower"):
+        raise InvalidSequenceError(
+            f"matuszewska: side must be upper or lower, got {side!r}")
     p0 = _integer(p0, "matuszewska: p0", 1)
     n = loga.size - 1
     hi = n // 2

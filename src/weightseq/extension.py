@@ -25,8 +25,8 @@ import numpy as np
 from .analysis import _exp_reported, _math_exp
 from .errors import (CensoredWindowError, InvalidSequenceError,
                      UntrustedEvaluationError)
-from .seqcore import (WeightSequence, _integer, log_factorial, log_factorials,
-                      quotients)
+from .seqcore import (WeightSequence, _float_array, _integer, log_factorial,
+                      log_factorials, quotients)
 from .weights import _require_finite, _window_omega, omega
 
 NEG_INF = -np.inf
@@ -49,7 +49,7 @@ class CoefficientFunction:
     signs: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        arr = np.asarray(self.logc, dtype=float)
+        arr = _float_array(self.logc, "logc")
         if arr.size < 9:
             raise InvalidSequenceError("coefficient truncation too short: need K >= 8")
         if np.any(np.isnan(arr)) or np.any(arr == np.inf):
@@ -58,7 +58,7 @@ class CoefficientFunction:
         arr.flags.writeable = False
         object.__setattr__(self, "logc", arr)
         if self.signs is not None:
-            s = np.asarray(self.signs, dtype=float)
+            s = _float_array(self.signs, "signs")
             if s.shape != arr.shape or not np.all(np.isin(s, (-1.0, 1.0))):
                 raise InvalidSequenceError("signs must be +-1 and match logc")
             object.__setattr__(self, "signs", s)
@@ -159,7 +159,7 @@ def taylor_majorant(M: WeightSequence, h: float, A: float,
             raise UntrustedEvaluationError(
                 f"majorant series peak at truncation (k={peak}); enlarge P",
                 required_P=2 * M.P)
-        m = float(terms.max())
+        m = float(terms[peak])
         keep = terms > m + math.log(1e-18)
         log_lhs = math.log(A) + m + math.log(float(np.sum(np.exp(terms[keep] - m))))
     log_rhs = math.log(2.0 * A) + w.value

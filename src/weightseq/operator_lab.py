@@ -26,7 +26,8 @@ import numpy as np
 
 from .errors import (InvalidSequenceError, PreconditionError,
                      UntrustedEvaluationError)
-from .seqcore import ClosedForm, WeightSequence, _integer, gevrey
+from .seqcore import (ClosedForm, WeightSequence, _float_array, _integer,
+                      gevrey)
 from .weights import (GrowthGauge, _bracket_bisect, _require_finite,
                       build_gauge, markin_bound, omega, omega_mp)
 
@@ -83,15 +84,6 @@ class SpectralVector:
     def n_terms(self) -> int:
         return len(self.logc)
 
-    def scaled(self, factor: float) -> "SpectralVector":
-        """The vector times a factor >= 0; a negative, NaN or infinite factor
-        (its ln is complex, NaN or inf) is refused."""
-        lf = mp.log(mp.mpf(factor))
-        if not (isinstance(lf, mp.mpf) and lf < mp.inf):
-            raise InvalidSequenceError(
-                f"scaled: factor must be finite and >= 0, got {factor!r}")
-        return SpectralVector(tuple(c + lf for c in self.logc))
-
     def l2_report(self) -> dict:
         """Partial sum of |c_n|^2 (log), its largest tail log-ratio, and
         whether the series certificate calls the sum converged (False: not
@@ -117,12 +109,12 @@ def _lse(logs) -> mp.mpf:
 
 def from_floats(lambdas, coeff_logs) -> tuple:
     """Desk-scale model from plain eigenvalues and ln|c_n| (-inf: c_n = 0)."""
-    lam = np.asarray(lambdas, dtype=float)
+    lam = _float_array(lambdas, "from_floats: eigenvalues")
     if lam.size == 0:
         raise InvalidSequenceError("from_floats: no eigenvalues")
     if not (np.all(np.isfinite(lam) & (lam > 0)) and np.all(np.diff(lam) > 0)):
         raise InvalidSequenceError("eigenvalues must be finite, positive and increasing")
-    logc = np.asarray(coeff_logs, dtype=float)
+    logc = _float_array(coeff_logs, "from_floats: coefficient logs")
     if not np.all(logc < np.inf):  # NaN and +inf
         raise InvalidSequenceError("coefficient logs must be finite or -inf")
     model = DiagonalOperatorModel(loglam=np.log(lam))

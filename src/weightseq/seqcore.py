@@ -191,8 +191,6 @@ class WeightSequence:
 
     def __post_init__(self):
         arr = _float_array(self.logM, f"logM of {self.name}")
-        if arr.ndim != 1:
-            raise InvalidSequenceError("logM must be one-dimensional")
         if arr.size < 9:
             raise InvalidSequenceError("truncation too short: need P >= 8")
         if not np.all(np.isfinite(arr)):
@@ -366,11 +364,15 @@ def _window_length(value, what: str, lo: int = 0) -> int:
 
 
 def _float_array(values, what: str) -> np.ndarray:
-    """np.asarray(values, dtype=float), or InvalidSequenceError naming the input."""
+    """np.asarray(values, dtype=float) of a one-dimensional input, or
+    InvalidSequenceError naming the input."""
     try:
-        return np.asarray(values, dtype=float)
+        arr = np.asarray(values, dtype=float)
     except (TypeError, ValueError):
         raise InvalidSequenceError(f"{what} must hold numbers only") from None
+    if arr.ndim != 1:
+        raise InvalidSequenceError(f"{what} must be one-dimensional")
+    return arr
 
 
 def _family_param(fam: dict, key: str) -> float:
@@ -414,7 +416,7 @@ def quotients(M: WeightSequence) -> np.ndarray:
 def from_quotients(logmu, name: str = "from-quotients",
                    provenance: str = "from-quotients") -> WeightSequence:
     """Rebuild a sequence with M_0 = 1 from its quotients by cumulative summation."""
-    logmu = np.asarray(logmu, dtype=float)
+    logmu = _float_array(logmu, "from_quotients: quotients")
     logM = np.concatenate([[0.0], np.cumsum(logmu[1:])])
     return WeightSequence(name, logM, provenance=provenance)
 

@@ -29,7 +29,7 @@ from .errors import (CensoredWindowError, InvalidSequenceError,
                      PreconditionError, UntrustedEvaluationError)
 from .seqcore import (ClosedForm, LogPowerBound, WeightSequence,
                       SequenceFamily, _integer, _number, _window_length,
-                      is_log_convex, little_m, log_factorial, quotients)
+                      is_log_convex, little_m, log_factorial)
 
 LN2 = math.log(2.0)
 _EPS = float(np.finfo(float).eps)
@@ -179,7 +179,8 @@ def _sorted_omega(M: WeightSequence, logt: float) -> Optional[OmegaValue]:
     from ln t, so every exact step towards k raises the term by more than
     eta - 2uB > 4.02uB, which no pair of rounded terms can undo: T_k is the
     strict, unique maximum.  The scan's argmax is then k (0 when T_k <= 0),
-    and its last index within the tie tolerance is P only if T_P is.
+    and it trusts the value unless the last term T_P is within the tie
+    tolerance of T_k.
     """
     logM, P = M.logM, M.P
     k = _sorted_count(logM, logt)
@@ -188,12 +189,17 @@ def _sorted_omega(M: WeightSequence, logt: float) -> Optional[OmegaValue]:
         return None
     if k < P and not (logM[k + 1] - logM[k]) - logt > eta:
         return None
-    best = float(k * logt - logM[k])
-    tol = 1e-12 * max(1.0, abs(best))
-    trusted = bool(P * logt - logM[P] < best - tol)
+    return _omega_value(float(k * logt - logM[k]), k, float(P * logt - logM[P]))
+
+
+def _omega_value(best: float, k: int, last: float) -> OmegaValue:
+    """omega's read-out of the largest term ``best``, taken at p = k: +0 at
+    argmax 0 when best <= 0 (best may be -0.0), and trusted unless the last
+    term ``last`` lies within the tie tolerance 1e-12 max(1, |best|) of it."""
+    trusted = last < best - 1e-12 * max(1.0, abs(best))
     if best > 0.0:
         return OmegaValue(best, k, trusted)
-    return OmegaValue(0.0, 0, trusted)  # +0, where best may be -0.0
+    return OmegaValue(0.0, 0, trusted)
 
 
 def _omega_eta(M: WeightSequence, logt):
@@ -241,15 +247,9 @@ def _window_omega(logM: np.ndarray, t: float) -> OmegaValue:
     """omega's scan over ln M_0..ln M_P for a checked t >= 0."""
     if t == 0.0:
         return OmegaValue(0.0, 0, True)
-    P = logM.size - 1
-    p = np.arange(P + 1, dtype=float)
-    terms = p * math.log(t) - logM
-    best = float(terms.max())
-    tol = 1e-12 * max(1.0, abs(best))
-    arg_last = int(np.flatnonzero(terms >= best - tol)[-1])
-    value = best if best > 0.0 else 0.0
-    argmax = int(np.argmax(terms)) if best > 0.0 else 0
-    return OmegaValue(value, argmax, arg_last < P)
+    terms = np.arange(logM.size, dtype=float) * math.log(t) - logM
+    k = int(np.argmax(terms))
+    return _omega_value(float(terms[k]), k, float(terms[-1]))
 
 
 def omega_extended(M: WeightSequence, t: float) -> OmegaValue:
@@ -443,55 +443,6 @@ def integral_representation_residual(M: WeightSequence, t: float) -> float:
     return abs(res.value - integral)
 
 
-@dataclass(frozen=True)
-class CountingScalingReport:
-    k: int
-    beta: float
-    D: float                  # minimal D with Sigma(k^beta t) <= k Sigma(t) + D on grid
-    D_omega: float            # minimal D1 with omega(k^beta t) <= (k+1) omega(t) + D1
-    liminf_margin: float      # window tail min of ln(mu_{kp}/mu_p) - beta ln k
-    grid: np.ndarray
-
-
-def counting_scaling_residual(M: WeightSequence, k: int, beta: float,
-                              t_grid) -> CountingScalingReport:
-    """Scaling behaviour of the counting function under t -> k^beta t."""
-    k = _integer(k, "counting scaling: factor k", 2)
-    if not is_log_convex(M):
-        raise PreconditionError("counting scaling needs log-convex M")
-    grid = np.asarray(list(t_grid), dtype=float)
-    if grid.size == 0:
-        raise InvalidSequenceError("counting scaling: empty t grid")
-    beta = _number(beta, "counting scaling: exponent beta")
-    _require_finite("counting_scaling_residual", beta, "beta")
-    try:
-        scale = float(k) ** beta
-    except OverflowError:
-        raise InvalidSequenceError(
-            f"counting scaling: k^beta = {k}^{beta:g} is past float range") from None
-    excess = []
-    excess_omega = []
-    for t in grid:
-        s1 = counting(M, scale * t)
-        s0 = counting(M, t)
-        excess.append(s1 - k * s0)
-        w1 = omega(M, scale * t)
-        w0 = omega(M, t)
-        if not (w0.trusted and w1.trusted):
-            raise CensoredWindowError(f"omega untrusted at t={t:g}")
-        excess_omega.append(w1.value - (k + 1) * w0.value)
-    logmu = quotients(M)
-    idx = np.arange(1, M.P // k + 1)
-    ratios = logmu[k * idx] - logmu[idx]
-    tail = ratios[len(ratios) // 2:]
-    margin = float(tail.min() - beta * math.log(k))
-    return CountingScalingReport(
-        k=k, beta=beta,
-        D=float(max(0.0, max(excess))),
-        D_omega=float(max(0.0, max(excess_omega))),
-        liminf_margin=margin, grid=grid)
-
-
 # ---------------------------------------------------------------------------
 # growth gauge
 # ---------------------------------------------------------------------------
@@ -513,7 +464,8 @@ class GrowthGauge:
     """The triple (h, f, g) built from a bound sequence a.
 
     h(t) = log sum_k (t/2)^k/(a_k k!); f(t) = h(t/2)/t; g = sqrt(f).
-    ``D_map`` records, per member sequence N, the window constant D with
+    ``f`` and ``g`` are the float-range reference that ``log_g`` is checked
+    against.  ``D_map`` records, per member sequence N, the window constant D with
     n_j <= D a_j.  A bound whose generator carries a rate (a
     ``LogPowerBound``) can be evaluated at astronomically large arguments.
     """
@@ -684,39 +636,6 @@ def build_gauge(a: WeightSequence,
                  and np.all(np.diff(tail) <= 1e-9))
     D_map = {N.name: _member_bound_record(N, a) for N in members}
     return GrowthGauge(a=a, D_map=D_map, decay_certified=decay)
-
-
-@dataclass(frozen=True)
-class MarginReport:
-    t_grid: np.ndarray
-    margins: np.ndarray
-    increasing_from: Optional[float]  # grid point past which margins increase
-    positive_from: Optional[float]    # grid point past which margins stay > 0
-
-
-def divergence_margin(N: WeightSequence, gauge: GrowthGauge, s: float,
-                      d: float, t_grid) -> MarginReport:
-    """s*omega_N(t/2) - d*g(t)*t on a grid, with trend diagnostics."""
-    _require_finite("divergence_margin", s, "s")
-    _require_finite("divergence_margin", d, "d")
-    if s <= 0 or d <= 0:
-        raise InvalidSequenceError("divergence margin needs s, d > 0")
-    grid = np.asarray(list(t_grid), dtype=float)
-    margins = np.empty_like(grid)
-    for i, t in enumerate(grid):
-        w = omega_extended(N, t / 2.0)
-        margins[i] = s * w.value - d * gauge.g(t) * t
-    inc_from = None
-    for i in range(len(grid) - 1, 0, -1):
-        if margins[i] <= margins[i - 1]:
-            inc_from = grid[i] if i < len(grid) - 1 else None
-            break
-        inc_from = grid[i - 1]
-    pos = np.flatnonzero(margins <= 0)
-    pos_from = grid[pos[-1] + 1] if pos.size and pos[-1] + 1 < len(grid) else (
-        grid[0] if not pos.size else None)
-    return MarginReport(t_grid=grid, margins=margins,
-                        increasing_from=inc_from, positive_from=pos_from)
 
 
 # ---------------------------------------------------------------------------

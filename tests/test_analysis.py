@@ -491,9 +491,3 @@ def test_root_vs_quotient():
     e_mu = an.matuszewska(sc.quotients(sc.qgevrey(2)))
     e_rho = an.matuszewska(sc.quotients(sc.root_sequence(sc.qgevrey(2))))
     assert e_mu.unbounded_flag and e_rho.unbounded_flag
-
-
-def test_verdict_serialization():
-    v = an.check_property(sc.gevrey(2), "gamma1")
-    d = v.to_dict()
-    assert d["status"] == "holds" and "witness" in d and "window" in d

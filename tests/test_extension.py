@@ -61,8 +61,12 @@ def test_lse_edge_cases_and_bits():
     lambda F: F.derivative_log_abs(3, math.nan),
     lambda F: F.derivative_log_abs(3, math.inf),
     lambda F: F.derivative_log_abs(3, -math.inf),
+    lambda F: ex.CoefficientFunction(np.zeros((10, 10))),
+    lambda F: ex.CoefficientFunction(["a"] * 10),
+    lambda F: ex.CoefficientFunction(F.logc, signs=["+"] * 12),
 ], ids=["radius-inf", "radius-nan", "radius-negative", "x-nan", "x-inf",
-        "x-minus-inf"])
+        "x-minus-inf", "coefficients-2d", "coefficients-non-numeric",
+        "signs-non-numeric"])
 def test_non_finite_radius_and_point_rejected(call):
     with pytest.raises(InvalidSequenceError):
         call(poly_coeffs(np.linspace(1.0, 2.0, 12)))

@@ -160,7 +160,8 @@ def test_certify_diverged_from_matches_quadratic_rule(logs):
 
 def test_scaling_leaves_verdicts(minimal_model):
     model, vec = minimal_model
-    scaled = vec.scaled(123.5)
+    # the vector times 123.5: every ln c_n moves by ln 123.5
+    scaled = ol.SpectralVector(tuple(c + mp.log(123.5) for c in vec.logc))
     a = ol.exponential_class_sum(model, vec, 1.0)
     b = ol.exponential_class_sum(model, scaled, 1.0)
     assert a.certificate == b.certificate
@@ -329,11 +330,16 @@ NON_FINITE_CALLS = {
     "member P nan": lambda m, v, g: sc.small_gevrey_family().member(0.5, P=math.nan),
     "uniform bound K nan": lambda m, v, g: wt.uniform_bound_construct(
         sc.small_gevrey_family(P=64), K=math.nan, P=64),
-    # an empty model, a scaling with no real finite log, an empty t grid
+    # an empty model, arrays that are not 1-D or not numbers, an empty t grid
     "from_floats empty": lambda m, v, g: ol.from_floats([], []),
-    "scaled negative": lambda m, v, g: v.scaled(-1.0),
-    "scaled nan": lambda m, v, g: v.scaled(math.nan),
-    "scaled inf": lambda m, v, g: v.scaled(math.inf),
+    "from_floats eigenvalues 2-D": lambda m, v, g: ol.from_floats(
+        [[1.0, 2.0]], [-1.0, -2.0]),
+    "from_floats coefficients 2-D": lambda m, v, g: ol.from_floats(
+        [1.0, 2.0], [[-1.0, -2.0]]),
+    "from_floats eigenvalues string": lambda m, v, g: ol.from_floats(
+        ["a", "b"], [-1.0, -2.0]),
+    "from_floats coefficients string": lambda m, v, g: ol.from_floats(
+        [1.0, 2.0], ["a", "b"]),
     "membership beurling empty grid": lambda m, v, g: ol.membership_verdict(
         m, v, sc.gevrey(0.5), "beurling", []),
     "membership roumieu empty grid": lambda m, v, g: ol.membership_verdict(

@@ -435,6 +435,11 @@ def test_json_non_numeric_window_rejected(tmp_path, doc):
     lambda: an.matuszewska(sc.quotients(sc.gevrey(1.5, P=64)), p0=1.5),
     lambda: an.matuszewska(["a"] * 64),
     lambda: an.matuszewska(np.zeros((40, 40))),
+    lambda: an.matuszewska(sc.quotients(sc.gevrey(1.5, P=64)), "sideways"),
+    # arrays read raw: a scalar, a 2-D array, strings
+    lambda: sc.from_quotients(3.0),
+    lambda: sc.from_quotients(np.zeros((10, 10))),
+    lambda: sc.from_quotients(["a"] * 10),
     lambda: sc.factorial_shift(sc.gevrey(1), math.inf),
     lambda: sc.factorial_shift(sc.gevrey(1), -math.inf),
     # integer arguments: a fraction, NaN or a string is refused, not rounded
@@ -449,12 +454,6 @@ def test_json_non_numeric_window_rejected(tmp_path, doc):
     lambda: tr.dual(sc.gevrey(2), P_out=20.5),
     lambda: tr.bidual(sc.gevrey(2), P_out=math.nan),
     lambda: tr.bidual(sc.gevrey(2), P_out=20.5),
-    lambda: wt.counting_scaling_residual(sc.gevrey(2), 2.5, 1.0, [1.0, 2.0]),
-    lambda: wt.counting_scaling_residual(sc.gevrey(2), 2, 1.0, []),
-    lambda: wt.counting_scaling_residual(sc.gevrey(0.5, P=256), 2, 1e300, [10.0]),
-    lambda: wt.counting_scaling_residual(sc.gevrey(0.5, P=256), 2, math.nan, [10.0]),
-    lambda: wt.counting_scaling_residual(sc.gevrey(0.5, P=256), 2, -math.inf, [10.0]),
-    lambda: wt.counting_scaling_residual(sc.gevrey(0.5, P=256), 2, "b", [10.0]),
     lambda: wt.markin_bound(64.7),
     lambda: wt.markin_bound(math.nan),
     lambda: wt.markin_bound(1e300),
@@ -484,13 +483,13 @@ def test_json_non_numeric_window_rejected(tmp_path, doc):
 ], ids=["grid-nan", "grid-negative", "grid-zero", "grid-string", "grid-none",
         "matuszewska-p0-zero",
         "matuszewska-p0-negative", "matuszewska-p0-fraction",
-        "matuszewska-non-numeric", "matuszewska-2d", "shift-inf",
+        "matuszewska-non-numeric", "matuszewska-2d", "matuszewska-side",
+        "from-quotients-scalar", "from-quotients-2d",
+        "from-quotients-non-numeric", "shift-inf",
         "shift-minus-inf", "gevrey-P-fraction", "gevrey-P-nan",
         "qgevrey-P-fraction", "make-family-P-string", "make-family-P-fraction",
         "extended-nan", "extended-fraction", "dual-P-nan", "dual-P-fraction",
-        "bidual-P-nan", "bidual-P-fraction", "scaling-k-fraction",
-        "scaling-empty-grid", "scaling-k-beta-overflow", "scaling-beta-nan",
-        "scaling-beta-minus-inf", "scaling-beta-string", "markin-P-fraction",
+        "bidual-P-nan", "bidual-P-fraction", "markin-P-fraction",
         "markin-P-nan", "markin-P-huge-float", "markin-P-past-intp",
         "extended-past-intp", "extended-at-intp-bytes", "bidual-P-past-intp",
         "qgevrey-P-past-intp", "gevrey-P-past-ceiling",
