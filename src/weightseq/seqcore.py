@@ -196,8 +196,9 @@ class WeightSequence:
         if not np.all(np.isfinite(arr)):
             bad = int(np.flatnonzero(~np.isfinite(arr))[0])
             raise InvalidSequenceError(f"non-finite logM entry at p={bad}")
-        arr = arr.copy()
-        arr.flags.writeable = False
+        if arr.flags.writeable or not arr.flags.owndata:
+            # a caller could write it, or the array it views: keep a copy
+            arr = _frozen(arr.copy())
         object.__setattr__(self, "logM", arr)
         g = self.generator
         if g is not None:
@@ -220,16 +221,17 @@ class WeightSequence:
     def P(self) -> int:
         return self.logM.size - 1
 
-    # Scalars of the read-only window, each computed on first use.  No array
-    # is cached: a P+1 quotient view lives as long as its sequence, and kept
-    # on bidual's 4e6-entry inner dual it raised the verify battery's peak
-    # memory by 12%.
+    # Scalars of the read-only window, each computed on first use.  A
+    # sequence holds no array of its length besides the window: a cached
+    # P+1 quotient view lives as long as its sequence, and kept on bidual's
+    # 4e6-entry inner dual it raised the verify battery's peak memory by 12%.
+    # The two scans of differences hold one block at a time (at most 1 MiB).
 
     @functools.cached_property
     def _min_logmu_step(self) -> float:
         """Smallest step ln mu_{p+1} - ln mu_p of the rounded quotients over
         p = 1..P-1; the window is exactly sorted when it is >= 0."""
-        return float(np.diff(self.logM, 2).min())
+        return _diff_extreme(self.logM, 2, np.minimum)
 
     @functools.cached_property
     def _exactly_convex(self) -> bool:
@@ -253,7 +255,7 @@ class WeightSequence:
     @functools.cached_property
     def _max_logmu(self) -> float:
         """Largest windowed ln mu_p, p = 1..P."""
-        return float(np.diff(self.logM).max())
+        return _diff_extreme(self.logM, 1, np.maximum)
 
     @functools.cached_property
     def _max_abs_logM(self) -> float:
@@ -269,10 +271,12 @@ class WeightSequence:
             raise InvalidSequenceError(
                 f"{self.name}: cannot extend window to P={P_new} without a generator"
             )
-        logM = np.asarray(self.generator(np.arange(P_new + 1)), dtype=float)
-        # keep the stored head bit-exact
-        logM[: self.P + 1] = self.logM
-        return WeightSequence(self.name, logM, self.generator, self.provenance)
+        gen = np.asarray(self.generator(np.arange(P_new + 1)), dtype=float)
+        # keep the stored head bit-exact, in a new array: the generator may
+        # hand out an array it keeps
+        logM = np.concatenate([self.logM, gen[self.P + 1:]])
+        return WeightSequence(self.name, _frozen(logM), self.generator,
+                              self.provenance)
 
     def __repr__(self):
         return f"WeightSequence({self.name!r}, P={self.P})"
@@ -305,8 +309,8 @@ def gevrey(alpha: float, P: int = DEFAULT_P) -> WeightSequence:
         raise InvalidSequenceError(f"gevrey order must be >= 0, got {alpha}")
     P = _window_length(P, "gevrey: window length P")
     form = ClosedForm(float(alpha))  # mu_p = p^alpha
-    return WeightSequence(f"gevrey({alpha:g})", form(np.arange(P + 1)), form,
-                          provenance=f"builtin:gevrey({alpha:g})")
+    return WeightSequence(f"gevrey({alpha:g})", _frozen(form(np.arange(P + 1))),
+                          form, provenance=f"builtin:gevrey({alpha:g})")
 
 
 def qgevrey(q: float, P: int = DEFAULT_P) -> WeightSequence:
@@ -315,8 +319,8 @@ def qgevrey(q: float, P: int = DEFAULT_P) -> WeightSequence:
         raise InvalidSequenceError(f"q-gevrey base must be > 1, got {q}")
     P = _window_length(P, "qgevrey: window length P")
     form = ClosedForm(0.0, math.log(q))  # mu_p = q^(2p-1)
-    return WeightSequence(f"qgevrey({q:g})", form(np.arange(P + 1)), form,
-                          provenance=f"builtin:qgevrey({q:g})")
+    return WeightSequence(f"qgevrey({q:g})", _frozen(form(np.arange(P + 1))),
+                          form, provenance=f"builtin:qgevrey({q:g})")
 
 
 def custom(logM, name: str = "custom") -> WeightSequence:
@@ -361,6 +365,31 @@ def _window_length(value, what: str, lo: int = 0) -> int:
         raise InvalidSequenceError(f"{what} = {P} exceeds DUAL_CEILING = "
                                    f"{DUAL_CEILING}")
     return P
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """arr, made read-only.  A builder freezes the fresh array it hands to
+    WeightSequence, which then keeps that array instead of a copy."""
+    arr.flags.writeable = False
+    return arr
+
+
+# differences one block of _diff_extreme forms at a time (512 KiB of floats)
+_SCAN_BLOCK = 1 << 16
+
+
+def _diff_extreme(x: np.ndarray, order: int, pick) -> float:
+    """pick.reduce(np.diff(x, order)) for pick np.minimum or np.maximum,
+    scanned in blocks of _SCAN_BLOCK differences.
+
+    Each block forms its differences from x[lo:lo + _SCAN_BLOCK + order] by
+    np.diff's own subtractions, and an extreme of floats is exact (a NaN
+    carries through pick), so the value is the whole-window form's; no
+    temporary is longer than a block.
+    """
+    return float(functools.reduce(pick, [
+        pick.reduce(np.diff(x[lo:lo + _SCAN_BLOCK + order], order))
+        for lo in range(0, x.size - order, _SCAN_BLOCK)]))
 
 
 def _float_array(values, what: str) -> np.ndarray:
@@ -418,7 +447,7 @@ def from_quotients(logmu, name: str = "from-quotients",
     """Rebuild a sequence with M_0 = 1 from its quotients by cumulative summation."""
     logmu = _float_array(logmu, "from_quotients: quotients")
     logM = np.concatenate([[0.0], np.cumsum(logmu[1:])])
-    return WeightSequence(name, logM, provenance=provenance)
+    return WeightSequence(name, _frozen(logM), provenance=provenance)
 
 
 def _factorial_image(M: WeightSequence, s: float, sign: float, name: str,
@@ -431,7 +460,7 @@ def _factorial_image(M: WeightSequence, s: float, sign: float, name: str,
     form = M.generator
     form = (ClosedForm(s + sign * form.a, sign * form.b)
             if isinstance(form, ClosedForm) else None)
-    return WeightSequence(name, logM, form, provenance=provenance)
+    return WeightSequence(name, _frozen(logM), form, provenance=provenance)
 
 
 def little_m(M: WeightSequence) -> WeightSequence:
@@ -457,7 +486,7 @@ def root_sequence(M: WeightSequence) -> WeightSequence:
     """
     p = np.arange(1, M.P + 1, dtype=float)
     logR = np.concatenate([[0.0], np.cumsum(M.logM[1:] / p)])
-    return WeightSequence(f"root[{M.name}]", logR,
+    return WeightSequence(f"root[{M.name}]", _frozen(logR),
                           provenance=f"transform:root_sequence({M.provenance})")
 
 

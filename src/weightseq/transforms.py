@@ -24,7 +24,7 @@ import numpy as np
 from .errors import (CensoredWindowError, InconclusiveTailError,
                      PreconditionError)
 from .seqcore import (DUAL_CEILING, ClosedForm, WeightSequence,
-                      _factorial_image, _integer, _window_length,
+                      _factorial_image, _frozen, _integer, _window_length,
                       from_quotients, in_lc_window, is_log_convex, quotients)
 
 # ceiling for a window a transform chooses itself (entries, not values):
@@ -63,7 +63,8 @@ def _counted_logs(values: np.ndarray, P_out: int) -> np.ndarray:
     into the values.  The placing branch holds one array of P_out entries,
     the result; the searching branch two at once (bidual's inner count runs
     to 4e6 entries, 32 MB each); both hold arrays as long as the values
-    besides.
+    besides.  The result is returned read-only, and dual's sequence keeps
+    it as its window without a copy.
     """
     widen = 1.0 + 1e-9
     # the active p >= values[0] are the suffix p = first+1..P_out-1, which
@@ -99,7 +100,7 @@ def _counted_logs(values: np.ndarray, P_out: int) -> np.ndarray:
         logK[2 + first:] = counts
         del counts
     np.cumsum(logK[1:], out=logK[1:])
-    return logK
+    return _frozen(logK)
 
 
 def _counting_range(N: WeightSequence, P: int | None = None) -> int:
@@ -156,6 +157,12 @@ def bidual(N: WeightSequence, P_out: int | None = None) -> WeightSequence:
     window is doubled through its generator until its counting range covers
     P_inner, and refused once the next window would pass WINDOW_CAP; a
     window 0..P_out+1 always doubles, so that refusal precedes building it.
+
+    At peak it holds two arrays of the inner dual's length: the inner
+    window, and the quotients of it that the outer dual counts (32 MB each
+    for criterion 3's 4 004 003 entries).  The inner count is the inner
+    window itself, the scans of its steps hold one block at a time, and the
+    result re-wraps the outer dual's read-only window.
     """
     P_out = min(N.P, 2000) if P_out is None else _integer(
         P_out, "bidual: window length P_out", 8)
@@ -312,5 +319,5 @@ def log_convex_minorant(M: WeightSequence) -> WeightSequence:
     out = np.interp(np.arange(len(y), dtype=float), np.array(hull, dtype=float),
                     M.logM[hull])
     out = np.minimum(out, M.logM)  # guard interpolation round-off
-    return WeightSequence(f"lcm[{M.name}]", out,
+    return WeightSequence(f"lcm[{M.name}]", _frozen(out),
                           provenance=f"transform:log_convex_minorant({M.provenance})")

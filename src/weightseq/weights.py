@@ -28,8 +28,8 @@ import numpy as np
 from .errors import (CensoredWindowError, InvalidSequenceError,
                      PreconditionError, UntrustedEvaluationError)
 from .seqcore import (ClosedForm, LogPowerBound, WeightSequence,
-                      SequenceFamily, _integer, _number, _window_length,
-                      is_log_convex, little_m, log_factorial)
+                      SequenceFamily, _frozen, _integer, _number,
+                      _window_length, is_log_convex, little_m, log_factorial)
 
 LN2 = math.log(2.0)
 _EPS = float(np.finfo(float).eps)
@@ -38,6 +38,9 @@ _EPS = float(np.finfo(float).eps)
 DIRECT_KMAX = 2_000_000
 # relative mass cutoff for series truncation past the peak
 SERIES_RELATIVE_CUTOFF = 1e-16
+# omega trusts its value unless the last windowed term lies within
+# OMEGA_TIE max(1, |value|) of the largest (_omega_value, _omega_grid)
+OMEGA_TIE = 1e-12
 # steps of the argument down by one unit of precision before giving up
 OMEGA_MP_STEP_DOWNS = 4
 # digits omega_mp keeps after its cancellation: a float's 15 plus a guard
@@ -195,8 +198,9 @@ def _sorted_omega(M: WeightSequence, logt: float) -> Optional[OmegaValue]:
 def _omega_value(best: float, k: int, last: float) -> OmegaValue:
     """omega's read-out of the largest term ``best``, taken at p = k: +0 at
     argmax 0 when best <= 0 (best may be -0.0), and trusted unless the last
-    term ``last`` lies within the tie tolerance 1e-12 max(1, |best|) of it."""
-    trusted = last < best - 1e-12 * max(1.0, abs(best))
+    term ``last`` lies within the tie tolerance OMEGA_TIE max(1, |best|) of
+    it."""
+    trusted = last < best - OMEGA_TIE * max(1.0, abs(best))
     if best > 0.0:
         return OmegaValue(best, k, trusted)
     return OmegaValue(0.0, 0, trusted)
@@ -232,7 +236,7 @@ def _omega_grid(M: WeightSequence, ts) -> tuple:
         clear = (((k == 0) | (logt - logmu[np.maximum(k - 1, 0)] > eta))
                  & ((k == P) | (logmu[np.minimum(k, P - 1)] - logt > eta)))
         best = k * logt - logM[k]
-        tol = 1e-12 * np.maximum(1.0, np.abs(best))
+        tol = OMEGA_TIE * np.maximum(1.0, np.abs(best))
         value[:] = np.where(best > 0.0, best, 0.0)
         argmax[:] = np.where(best > 0.0, k, 0)
         trusted[:] = P * logt - logM[P] < best - tol
@@ -455,7 +459,7 @@ def markin_bound(P: int = 512) -> WeightSequence:
     """
     P = _window_length(P, "markin_bound: window length P")
     gen = LogPowerBound()
-    return WeightSequence("markin-bound", gen(np.arange(P + 1)), gen,
+    return WeightSequence("markin-bound", _frozen(gen(np.arange(P + 1))), gen,
                           provenance="builtin:markin-bound")
 
 

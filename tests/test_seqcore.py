@@ -219,6 +219,109 @@ def test_log_factorials_are_read_only():
     assert T[3] == gammaln(4.0)
 
 
+def test_window_copies_what_a_caller_can_write():
+    base = sc.gevrey(1.5, P=64).logM.copy()
+    frozen_view = base[:]
+    frozen_view.flags.writeable = False
+    given = {"array": base, "view": base[10:50], "frozen view": frozen_view,
+             "list": base.tolist()}
+    built = {k: sc.custom(v) for k, v in given.items()}
+    want = {k: np.array(v, dtype=float) for k, v in given.items()}
+    base += 1.0
+    for k, M in built.items():
+        assert not M.logM.flags.writeable
+        assert not np.shares_memory(M.logM, base)
+        assert np.array_equal(M.logM, want[k]), k
+
+
+def test_window_adopts_a_read_only_array_that_owns_its_data():
+    arr = sc.gevrey(1.5, P=64).logM.copy()
+    arr.flags.writeable = False
+    assert sc.custom(arr).logM is arr
+    G = sc.gevrey(0.5, P=64)
+    # re-wrapping an existing sequence's window shares it
+    assert sc.WeightSequence("again", G.logM, G.generator).logM is G.logM
+    assert tr.normalize_head(G).L.logM is G.logM
+
+
+_OUTPUTS = {
+    "gevrey": lambda M: sc.gevrey(0.5, P=600),
+    "qgevrey": lambda M: sc.qgevrey(2, P=64),
+    "extended": lambda M: M.extended(2 * M.P),
+    "from_quotients": lambda M: sc.from_quotients(sc.quotients(M)),
+    "little_m": sc.little_m,
+    "factorial_shift": lambda M: sc.factorial_shift(M, 0.25),
+    "root_sequence": sc.root_sequence,
+    "conjugate": tr.conjugate,
+    "dual": tr.dual,
+    "bidual": lambda M: tr.bidual(M, P_out=200),
+    "regularize": lambda M: tr.regularize_almost_decreasing(M).L,
+    "normalize_head": lambda M: tr.normalize_head(M).L,
+    # quotients sqrt(p)/e dip below 1 up to p = 7
+    "normalize_head_dip": lambda M: tr.normalize_head(
+        sc.from_quotients(sc.quotients(M) - 1.0)).L,
+    "log_convex_minorant": tr.log_convex_minorant,
+}
+
+
+@pytest.mark.parametrize("build", _OUTPUTS.values(), ids=_OUTPUTS.keys())
+def test_every_output_window_is_read_only_and_private(build):
+    # the input's window was given as a writable array, which the test keeps
+    w = sc.gevrey(0.5, P=600).logM.copy()
+    M = sc.WeightSequence("w", w, sc.ClosedForm(0.5))
+    out = build(M)
+    assert not out.logM.flags.writeable
+    with pytest.raises(ValueError):
+        out.logM[0] = 1.0
+    assert not np.shares_memory(out.logM, w)
+
+
+B = sc._SCAN_BLOCK
+
+
+def _spiked(n, i, seed):
+    # small noise with a +1 spike at x[i + 1]: the largest first difference
+    # and the smallest second difference both sit at index i
+    x = np.random.default_rng(seed).uniform(0.0, 1e-3, n)
+    x[i + 1] += 1.0
+    return x
+
+
+def _seams(n, order):
+    # difference indices on each side of every block seam, and both ends
+    last = n - order - 1
+    return sorted({i for k in range(1, last // B + 1) for i in (k * B - 1, k * B)}
+                  | {0, last})
+
+
+@pytest.mark.parametrize("n", [9, B + 1, B + 2, B + 3, 2 * B + 2])
+def test_block_scans_equal_the_whole_window_forms(n):
+    for order in (1, 2):
+        for i in _seams(n, order):
+            x = _spiked(n, i, seed=n + i)
+            M = sc.custom(x)
+            if order == 2:
+                assert int(np.argmin(np.diff(x, 2))) == i
+                assert M._min_logmu_step == float(np.diff(x, 2).min())
+            else:
+                assert int(np.argmax(np.diff(x))) == i
+                assert M._max_logmu == float(np.diff(x).max())
+
+
+@pytest.mark.parametrize("n", [9, B + 3, 2 * B + 2])
+def test_block_scans_on_flat_and_one_ulp_windows(n):
+    flat = sc.custom(np.zeros(n))
+    assert flat._min_logmu_step == 0.0 and flat._max_logmu == 0.0
+    # ln M_p = p / 2 exactly, with ln M_j one ulp high at the first seam
+    x = np.arange(n, dtype=float) / 2
+    j = min(B, n - 2)
+    x[j] = np.nextafter(x[j], np.inf)
+    M = sc.custom(x)
+    assert M._min_logmu_step == float(np.diff(x, 2).min()) < 0.0
+    assert M._max_logmu == float(np.diff(x).max()) > 0.5
+    assert sc.is_log_convex(M)
+
+
 @pytest.mark.parametrize("P", [2**62, -1, 2.5, "64"])
 def test_log_factorials_refuse_what_numpy_cannot_index(P):
     with pytest.raises(InvalidSequenceError, match="log_factorials"):

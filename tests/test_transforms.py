@@ -349,6 +349,16 @@ def test_counted_logs_memory():
     assert _traced_peak(lambda: tr._counted_logs(many, 2000)) <= 10**6
 
 
+def test_criterion_3_bidual_footprint():
+    # criterion 3's inner dual has nu_2001 + 2 = 4 004 003 entries: the
+    # dual holds its window and a 1-byte finiteness mask, and bidual that
+    # window and the outer dual's quotients of it, never a third copy
+    N = sc.gevrey(2, P=128).extended(2048)
+    n = 2001**2 + 2
+    assert _traced_peak(lambda: tr.dual(N, P_out=n)) <= 10 * n
+    assert _traced_peak(lambda: tr.bidual(N, P_out=2000)) <= 17 * n
+
+
 @pytest.mark.parametrize("N", [sc.gevrey(0.5, P=4096), sc.gevrey(1, P=512),
                                sc.gevrey(2, P=64), sc.gevrey(2, P=600),
                                sc.qgevrey(2, P=600)],
